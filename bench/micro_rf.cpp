@@ -11,8 +11,9 @@
 //   flat       the blocked FlatForest engine ("after", what predict_stats
 //              actually routes through)
 // plus the bit-exactness check that flat == reference on every pool row.
-// The seed_baseline_* constants are the pre-overhaul numbers measured on
-// the same container (single-threaded), kept for before/after context.
+// The reference walk, timed in the same run, is the baseline. A final
+// matrix times the flat engine at each dispatch level this host supports
+// (scalar and AVX2, both over the 16-byte flat node layout).
 
 #include <algorithm>
 #include <chrono>
@@ -21,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "rf/quantized_layout.hpp"
 #include "rf/random_forest.hpp"
 #include "rf/simd_eval.hpp"
 #include "util/rng.hpp"
@@ -33,11 +33,6 @@ using pwu::rf::FeatureMatrix;
 using pwu::rf::ForestConfig;
 using pwu::rf::PredictionStats;
 using pwu::rf::RandomForest;
-
-// Pre-overhaul (seed) timings of this same harness's workloads, measured
-// single-threaded on the reference container with the pointer-walk engine.
-constexpr double kSeedFitMs = 221.701;
-constexpr double kSeedPredictMs = 452.810;
 
 Dataset make_data(std::size_t rows, std::size_t features,
                   std::uint64_t seed) {
@@ -131,14 +126,12 @@ int main(int argc, char** argv) {
   const double flat_rows_per_sec = 1000.0 * pool_rows / flat_ms;
   const double ref_rows_per_sec = 1000.0 * pool_rows / ref_ms;
 
-  // ---- SIMD matrix: dispatch level x node layout over the same pool ----
+  // ---- SIMD matrix: dispatch level over the same pool ----
   // Each cell is timed with the level pinned via set_level_override, checked
   // bit-for-bit against the reference walks, and reported relative to the
-  // scalar 16-byte row so the kernel speedup is separated from the engine
-  // speedup above.
+  // scalar cell so the kernel speedup is separated from the engine speedup
+  // above.
   namespace simd = pwu::rf::simd;
-  pwu::rf::QuantizedForest quant;
-  const bool quant_built = quant.build(forest.flat());
 
   struct MatrixCell {
     const char* level;
@@ -158,28 +151,18 @@ int main(int argc, char** argv) {
     }
     return true;
   };
-  for (const simd::Level level :
-       {simd::Level::Scalar, simd::Level::Sse2, simd::Level::Avx2}) {
-    MatrixCell flat_cell{simd::level_name(level), "flat16"};
-    MatrixCell quant_cell{simd::level_name(level), "quant8"};
+  for (const simd::Level level : {simd::Level::Scalar, simd::Level::Avx2}) {
+    MatrixCell cell{simd::level_name(level), "flat16"};
     if (level <= simd::detected_level()) {
       simd::set_level_override(level);
-      flat_cell.available = true;
-      flat_cell.ms = time_best_ms(5, [&] {
+      cell.available = true;
+      cell.ms = time_best_ms(5, [&] {
         forest.flat().predict_stats(pool, simd_out);
       });
-      flat_cell.bit_exact = exact_vs_ref(simd_out);
-      if (quant_built) {
-        quant_cell.available = true;
-        quant_cell.ms = time_best_ms(5, [&] {
-          quant.predict_stats(pool, simd_out);
-        });
-        quant_cell.bit_exact = exact_vs_ref(simd_out);
-      }
+      cell.bit_exact = exact_vs_ref(simd_out);
       simd::clear_level_override();
     }
-    matrix.push_back(flat_cell);
-    matrix.push_back(quant_cell);
+    matrix.push_back(cell);
   }
   const double scalar_flat_ms = matrix[0].ms;
   double best_kernel_speedup = 1.0;
@@ -196,9 +179,7 @@ int main(int argc, char** argv) {
   json << "{\n"
        << "  \"fit\": {\n"
        << "    \"rows\": 2000, \"features\": 12, \"trees\": 50,\n"
-       << "    \"ms\": " << fit_ms << ",\n"
-       << "    \"seed_baseline_ms\": " << kSeedFitMs << ",\n"
-       << "    \"speedup_vs_seed\": " << kSeedFitMs / fit_ms << "\n"
+       << "    \"ms\": " << fit_ms << "\n"
        << "  },\n"
        << "  \"predict_stats_batch\": {\n"
        << "    \"pool_rows\": " << pool_rows << ", \"trees\": 200,\n"
@@ -206,9 +187,7 @@ int main(int argc, char** argv) {
        << "    \"flat_rows_per_sec\": " << flat_rows_per_sec << ",\n"
        << "    \"reference_ms\": " << ref_ms << ",\n"
        << "    \"reference_rows_per_sec\": " << ref_rows_per_sec << ",\n"
-       << "    \"seed_baseline_ms\": " << kSeedPredictMs << ",\n"
-       << "    \"speedup_vs_reference\": " << ref_ms / flat_ms << ",\n"
-       << "    \"speedup_vs_seed\": " << kSeedPredictMs / flat_ms << "\n"
+       << "    \"speedup_vs_reference\": " << ref_ms / flat_ms << "\n"
        << "  },\n"
        << "  \"simd_matrix\": {\n"
        << "    \"detected_level\": \""
@@ -240,16 +219,13 @@ int main(int argc, char** argv) {
        << "}\n";
   json.close();
 
-  std::cout << "fit(2000x12, 50 trees):          " << fit_ms << " ms (seed "
-            << kSeedFitMs << " ms)\n"
+  std::cout << "fit(2000x12, 50 trees):          " << fit_ms << " ms\n"
             << "predict_stats(10k pool, 200t):\n"
             << "  flat      " << flat_ms << " ms  (" << flat_rows_per_sec
             << " rows/s)\n"
             << "  reference " << ref_ms << " ms  (" << ref_rows_per_sec
             << " rows/s)\n"
-            << "  seed      " << kSeedPredictMs << " ms\n"
-            << "  flat vs reference: " << ref_ms / flat_ms << "x, vs seed: "
-            << kSeedPredictMs / flat_ms << "x\n"
+            << "  flat vs reference: " << ref_ms / flat_ms << "x\n"
             << "bit-exact flat == reference: " << (bit_exact ? "yes" : "NO")
             << "\nsimd matrix (detected " << simd::level_name(simd::detected_level())
             << "):\n";

@@ -22,15 +22,7 @@
 // arrives only after the inline refit for refit-triggering tells), and
 // the overload shed rate.
 //
-// A fourth section, `ask_fusion`, isolates SessionManager::ask_fused from
-// transport effects: the same in-process fleet is driven to completion
-// twice — once with one ask_with_deadline per session per window, once
-// with the window coalesced into a single ask_fused call — and the two
-// runs' candidate streams are compared bit-for-bit (fusion must be
-// protocol-invisible) alongside the fused-vs-unfused asks/sec delta and
-// the fused run's tell-to-fresh-model latency percentiles.
-//
-// A fifth section, `failover_mttr`, measures what warm-standby replication
+// A fourth section, `failover_mttr`, measures what warm-standby replication
 // buys: two-worker router fleets where the session's owner is armed to die
 // mid-tell, run once with cold re-home (checkpoint resume on the survivor)
 // and once with --standby warm promotion. The metric is the wall time of
@@ -38,7 +30,7 @@
 // until its answer arrives — i.e. time-to-first-answered-request after the
 // kill, reported as p50/p99 per mode plus the cold/warm speedup.
 //
-// A sixth section, `framing_overhead`, prices the network-resilience layer
+// A fifth section, `framing_overhead`, prices the network-resilience layer
 // of DESIGN.md §15: the same two-worker router fleet driven to completion
 // twice, once over raw JSON lines and once with --frame semantics (pwu1
 // length+CRC framing, idempotency stamping, epoch checks on every hop).
@@ -68,7 +60,6 @@
 #include "service/transport.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/registry.hpp"
 
 namespace {
@@ -223,136 +214,6 @@ Metrics drive(const Topology& topo) {
 
   metrics.wall_s = ms_between(wall_start, Clock::now()) / 1000.0;
   return metrics;
-}
-
-// ---- ask fusion: fused vs unfused in-process fleets ------------------------
-
-constexpr std::size_t kFusionSessions = 8;
-
-/// One ask-fusion fleet run. The candidate streams are kept so the fused
-/// and unfused runs can be compared bit-for-bit.
-struct FusionRun {
-  std::size_t asks = 0;     // session-asks served through ask windows
-  double ask_s = 0.0;       // wall time inside the ask windows
-  std::vector<double> tell_ms;
-  std::uint64_t fused_groups = 0;
-  std::uint64_t fused_scored_asks = 0;
-  bool completed = true;
-  /// streams[s] is session s's full candidate sequence, in ask order.
-  std::vector<std::vector<pwu::service::Candidate>> streams;
-};
-
-pwu::service::SessionSpec fusion_spec(std::uint64_t seed) {
-  pwu::service::SessionSpec spec;
-  spec.workload = "gesummv";
-  spec.learner.n_init = 6;
-  spec.learner.n_batch = 2;
-  spec.learner.n_max = 26;
-  spec.learner.forest.num_trees = 100;
-  spec.pool_size = 4000;
-  spec.seed = seed;
-  return spec;
-}
-
-/// Drives kFusionSessions identically-specced sessions (distinct seeds) to
-/// completion. `fused` batches each ask window through one ask_fused call;
-/// otherwise the window is one ask_with_deadline per session — the only
-/// difference between the two runs, so the asks/sec delta is the fusion
-/// win and any stream divergence is a fusion bug.
-FusionRun drive_fusion_fleet(pwu::util::ThreadPool& workers, bool fused) {
-  namespace svc = pwu::service;
-  FusionRun run;
-  run.streams.resize(kFusionSessions);
-  svc::SessionManager manager(&workers);
-  const auto workload = pwu::workloads::make_workload("gesummv");
-
-  struct Live {
-    std::string name;
-    pwu::util::Rng rng{1};
-    bool done = false;
-  };
-  std::vector<Live> sessions(kFusionSessions);
-  for (std::size_t s = 0; s < kFusionSessions; ++s) {
-    sessions[s].name = "fusion-" + std::to_string(s);
-    const svc::SessionStatus created =
-        manager.create(sessions[s].name, fusion_spec(500 + s));
-    sessions[s].rng = pwu::util::Rng(created.measure_seed);
-  }
-
-  for (;;) {
-    std::vector<std::size_t> live;
-    for (std::size_t s = 0; s < kFusionSessions; ++s) {
-      if (!sessions[s].done) live.push_back(s);
-    }
-    if (live.empty()) break;
-
-    // One ask window over every live session.
-    std::vector<std::vector<svc::Candidate>> window(live.size());
-    const auto ask_start = Clock::now();
-    if (fused) {
-      std::vector<svc::FusedAskRequest> requests;
-      requests.reserve(live.size());
-      for (const std::size_t s : live) {
-        requests.push_back({sessions[s].name, 0});
-      }
-      std::vector<svc::FusedAskResult> results =
-          manager.ask_fused(requests, -1);
-      for (std::size_t k = 0; k < live.size(); ++k) {
-        if (!results[k].error.empty()) {
-          std::cerr << "fused ask failed: " << results[k].error << "\n";
-          run.completed = false;
-          return run;
-        }
-        window[k] = std::move(results[k].outcome.candidates);
-      }
-    } else {
-      for (std::size_t k = 0; k < live.size(); ++k) {
-        window[k] =
-            manager.ask_with_deadline(sessions[live[k]].name, 0, -1)
-                .candidates;
-      }
-    }
-    run.ask_s += ms_between(ask_start, Clock::now()) / 1000.0;
-    run.asks += live.size();
-
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      Live& session = sessions[live[k]];
-      if (window[k].empty()) {
-        session.done = true;
-        continue;
-      }
-      for (const svc::Candidate& candidate : window[k]) {
-        run.streams[live[k]].push_back(candidate);
-        const double t = workload->measure(candidate.config, session.rng, 1);
-        const auto tell_start = Clock::now();
-        manager.tell(session.name, candidate.config, t);
-        run.tell_ms.push_back(ms_between(tell_start, Clock::now()));
-      }
-    }
-  }
-
-  const svc::HealthReport health = manager.health();
-  run.fused_groups = health.fused_groups;
-  run.fused_scored_asks = health.fused_scored_asks;
-  return run;
-}
-
-bool same_streams(const FusionRun& a, const FusionRun& b) {
-  if (a.streams.size() != b.streams.size()) return false;
-  for (std::size_t s = 0; s < a.streams.size(); ++s) {
-    if (a.streams[s].size() != b.streams[s].size()) return false;
-    for (std::size_t i = 0; i < a.streams[s].size(); ++i) {
-      const pwu::service::Candidate& x = a.streams[s][i];
-      const pwu::service::Candidate& y = b.streams[s][i];
-      if (!(x.config == y.config) || x.has_prediction != y.has_prediction ||
-          x.predicted_mean != y.predicted_mean ||
-          x.predicted_stddev != y.predicted_stddev ||
-          x.iteration != y.iteration) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 std::string fresh_dir(const std::string& tag) {
@@ -606,36 +467,6 @@ int main(int argc, char** argv) {
     router.handle(json::parse(R"({"op":"shutdown"})"));
   }
 
-  // ---- ask_fusion: fused vs unfused in-process fleets ----
-  // Fleets are deterministic (fixed seeds), so repeats redo identical work:
-  // keep the first run of each mode for the stream comparison and take the
-  // best-of-3 window time per mode (alternating modes so machine noise
-  // lands on both), exactly like micro_rf's time_best_ms.
-  pwu::util::ThreadPool fusion_workers(4);
-  FusionRun unfused = drive_fusion_fleet(fusion_workers, false);
-  FusionRun fused = drive_fusion_fleet(fusion_workers, true);
-  for (int rep = 1; rep < 3; ++rep) {
-    unfused.ask_s =
-        std::min(unfused.ask_s, drive_fusion_fleet(fusion_workers, false).ask_s);
-    fused.ask_s =
-        std::min(fused.ask_s, drive_fusion_fleet(fusion_workers, true).ask_s);
-  }
-  const bool streams_identical = same_streams(unfused, fused);
-  const double unfused_aps =
-      unfused.ask_s > 0.0 ? static_cast<double>(unfused.asks) / unfused.ask_s
-                          : 0.0;
-  const double fused_aps =
-      fused.ask_s > 0.0 ? static_cast<double>(fused.asks) / fused.ask_s : 0.0;
-  const double fusion_speedup = fused_aps > 0.0 && unfused_aps > 0.0
-                                    ? fused_aps / unfused_aps
-                                    : 0.0;
-  std::cout << "ask_fusion: unfused " << unfused_aps << " asks/s, fused "
-            << fused_aps << " asks/s (" << fusion_speedup
-            << "x, streams bit-identical: "
-            << (streams_identical ? "yes" : "NO") << ", fused tell p50 "
-            << percentile(fused.tell_ms, 0.50) << " ms / p99 "
-            << percentile(fused.tell_ms, 0.99) << " ms)\n";
-
   // ---- framing_overhead: framed vs unframed two-worker fleets ----
   Metrics unframed_metrics;
   Metrics framed_metrics;
@@ -722,34 +553,11 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out.precision(6);
   out << "{\n";
-  emit(out, "direct", direct_metrics, false);
+  emit(out, "direct", direct_metrics, !have_serve);
   if (have_serve) {
     emit(out, "pipe_1worker", pipe_metrics, false);
     emit(out, "router_4workers", router_metrics, false);
   }
-  out << "  \"ask_fusion\": {\n"
-      << "    \"sessions\": " << kFusionSessions
-      << ", \"pool_size\": " << fusion_spec(0).pool_size
-      << ", \"trees\": " << fusion_spec(0).learner.forest.num_trees
-      << ", \"workers\": 4,\n"
-      << "    \"completed\": "
-      << (unfused.completed && fused.completed ? "true" : "false") << ",\n"
-      << "    \"unfused\": {\"asks\": " << unfused.asks << ", \"ask_s\": "
-      << unfused.ask_s << ", \"asks_per_sec\": " << unfused_aps << "},\n"
-      << "    \"fused\": {\"asks\": " << fused.asks << ", \"ask_s\": "
-      << fused.ask_s << ", \"asks_per_sec\": " << fused_aps
-      << ", \"fused_groups\": " << fused.fused_groups
-      << ", \"fused_scored_asks\": " << fused.fused_scored_asks << "},\n"
-      << "    \"fused_speedup_vs_unfused\": " << fusion_speedup << ",\n"
-      << "    \"fused_exceeds_unfused\": "
-      << (fused_aps > unfused_aps ? "true" : "false") << ",\n"
-      << "    \"streams_bit_identical\": "
-      << (streams_identical ? "true" : "false") << ",\n"
-      << "    \"tell_to_fresh_model_ms\": {\"p50\": "
-      << percentile(fused.tell_ms, 0.50)
-      << ", \"p90\": " << percentile(fused.tell_ms, 0.90)
-      << ", \"p99\": " << percentile(fused.tell_ms, 0.99) << "}\n"
-      << "  }" << (have_serve ? ",\n" : "\n");
   if (have_serve) {
     out << "  \"failover_mttr\": {\n"
         << "    \"iterations\": " << kMttrIterations
@@ -797,7 +605,6 @@ int main(int argc, char** argv) {
                    (pipe_metrics.completed && router_metrics.completed &&
                     unframed_metrics.completed && framed_metrics.completed &&
                     cold_mttr.completed && warm_mttr.completed &&
-                    warm_speedup_p50 > 1.0)) &&
-                  unfused.completed && fused.completed && streams_identical;
+                    warm_speedup_p50 > 1.0));
   return ok ? 0 : 1;
 }

@@ -22,9 +22,10 @@
 #                        stream must stay bit-identical to an unkilled
 #                        control fleet (`ctest -L shard`)
 #   7. simd            — the full fast suite re-run with PWU_SIMD_LEVEL=
-#                        scalar (Release and asan builds), so the scalar
-#                        dispatch fallback stays tested on hosts whose CPUs
-#                        would otherwise always take the AVX2 kernels
+#                        scalar (Release and asan builds): dispatch has two
+#                        tiers, the scalar oracle and the AVX2 kernel, and
+#                        this keeps the oracle tested on hosts whose CPUs
+#                        would otherwise always take AVX2
 #   8. ha              — warm-standby replication and live ring growth:
 #                        shadow promotion, staleness fallback, and
 #                        mid-traffic session migration, all in-process

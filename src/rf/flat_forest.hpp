@@ -89,30 +89,14 @@ class FlatForest {
   void predict_mean(const FeatureMatrix& rows, std::span<double> out,
                     util::ThreadPool* pool = nullptr) const;
 
-  /// Rows per cache block: 256 rows x 200 trees of scratch is 400 KB,
-  /// inside L2, while one tree's nodes stream through L1; the wide block
-  /// amortizes each tree's node-table sweep over enough rows to keep the
-  /// SIMD kernels' gather chains fed (64 left them latency-bound on node
-  /// refetches). Public so external schedulers (the SessionManager's
-  /// cross-session ask fusion) can carve their own block grids.
+ private:
+  /// Rows per cache block of predict_stats/predict_mean: 256 rows x 200
+  /// trees of scratch is 400 KB, inside L2, while one tree's nodes stream
+  /// through L1; the wide block amortizes each tree's node-table sweep over
+  /// enough rows to keep the AVX2 kernel's gather chains fed (64 left them
+  /// latency-bound on node refetches).
   static constexpr std::size_t kRowBlock = 256;
 
-  /// One cache block of predict_stats, exposed for fused scoring: fills
-  /// out[begin, end) for rows [begin, end) (end - begin <= kRowBlock).
-  /// Blocks are independent, so any schedule over them — including one
-  /// interleaving blocks of *different* forests — produces bit-identical
-  /// results to predict_stats.
-  void predict_stats_block(const FeatureMatrix& rows, std::size_t begin,
-                           std::size_t end, std::span<PredictionStats> out,
-                           std::vector<double>& scratch) const {
-    stats_block(rows, begin, end, out, scratch);
-  }
-
-  /// Raw compiled layout (the QuantizedForest compaction pass reads it).
-  std::span<const FlatNode> nodes() const { return nodes_; }
-  std::span<const std::uint32_t> tree_offsets() const { return tree_offsets_; }
-
- private:
   void stats_block(const FeatureMatrix& rows, std::size_t begin,
                    std::size_t end, std::span<PredictionStats> out,
                    std::vector<double>& scratch) const;

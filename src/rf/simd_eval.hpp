@@ -1,46 +1,41 @@
-// Runtime-dispatched SIMD kernels for the flat tree-evaluation hot path.
+// Runtime-dispatched SIMD kernel for the flat tree-evaluation hot path.
 //
 // This is the only sanctioned doorway to vector intrinsics in the tree
 // engine (enforced by the pwu_lint rule `no-unchecked-simd`): callers pick
-// a kernel through flat_tree_kernel()/quant_tree_kernel() and never touch
-// <immintrin.h> themselves. Three tiers exist per node layout:
+// a kernel through flat_tree_kernel() and never touch <immintrin.h>
+// themselves. Two tiers exist:
 //
-//   Scalar  portable reference — the 8-row interleaved lockstep walk the
-//           pre-SIMD engine ran, restated over a contiguous row block;
-//   SSE2    flat16: 8-row lockstep with packed ordered compares (baseline
-//           on x86-64); quant8's rank walk is integer-only, so its SSE2
-//           tier shares the scalar loop;
-//   AVX2    flat16: 32 rows per tree level as eight 4-lane gather groups;
-//           quant8: 32 rows as four 8-lane epi32 groups walking on
-//           precomputed threshold ranks (see QuantTreeKernel).
+//   Scalar  portable reference and bit-exact oracle — the 8-row
+//           interleaved lockstep walk the pre-SIMD engine ran, restated
+//           over a contiguous row block;
+//   AVX2    32 rows per tree level as eight 4-lane gather groups.
 //
-// Every tier routes rows identically (the same `value <= threshold`
-// ordered-compare semantics, NaN to the right — the quant rank coding
-// reproduces it bit-for-bit in integer space) and emits the same leaf
+// Both tiers route rows identically (the same `value <= threshold`
+// ordered-compare semantics, NaN to the right) and emit the same leaf
 // doubles, so the dispatch level never changes a prediction bit. Kernels
 // handle numerical splits only: trees containing categorical splits take
 // the llround set-membership walk in flat_forest.cpp regardless of level.
 //
-// Selection: the strongest tier compiled in (PWU_SIMD CMake option) and
-// supported by the running CPU wins; the PWU_SIMD_LEVEL environment
-// variable (scalar|sse2|avx2) or set_level_override() clamps it down —
-// that is how the `simd` ctest preset pins the scalar fallback on AVX2
-// hosts, and how bench/micro_rf sweeps the matrix.
+// Selection: AVX2 when it was compiled in (the compiler accepts -mavx2 on
+// an x86 target) and the running CPU supports it, scalar otherwise; the
+// PWU_SIMD_LEVEL environment variable (scalar|avx2) or
+// set_level_override() clamps it down — that is how the `simd` ctest
+// preset pins the scalar fallback on AVX2 hosts, and how bench/micro_rf
+// sweeps the matrix. An unrecognised PWU_SIMD_LEVEL logs a warning and
+// clamps to scalar.
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 
 namespace pwu::rf {
 
 struct FlatNode;
-struct QuantNode;
 
 namespace simd {
 
-enum class Level { Scalar = 0, Sse2 = 1, Avx2 = 2 };
+enum class Level { Scalar = 0, Avx2 = 1 };
 
 const char* level_name(Level level);
 
@@ -62,25 +57,10 @@ using FlatTreeKernel = void (*)(const FlatNode* nodes, const double* rows,
                                 std::size_t stride, std::size_t n,
                                 double* out);
 
-/// Same contract over the 8-byte quantized layout, but driven by the
-/// precomputed rank matrix instead of raw feature doubles: row r's ranks
-/// live at ranks + r * rank_stride, and ranks[r][f] is the first code in
-/// feature f's codebook whose threshold is >= the row's value (the
-/// feature's past-the-end code for NaN). A split routes left iff
-/// `node.code >= rank` — exactly `value <= thresholds[code]` — so the
-/// whole walk is 32-bit integer compares against a block-resident table.
-/// `leaf_values` is the leaf table (indexed by a leaf's QuantNode::left).
-using QuantTreeKernel = void (*)(const QuantNode* nodes,
-                                 const std::int32_t* ranks,
-                                 std::size_t rank_stride,
-                                 const double* leaf_values, std::size_t n,
-                                 double* out);
-
 /// Kernel for `level`, clamped to detected_level().
 FlatTreeKernel flat_tree_kernel(Level level);
-QuantTreeKernel quant_tree_kernel(Level level);
 
-/// Parses "scalar"/"sse2"/"avx2" (nullopt otherwise).
+/// Parses "scalar"/"avx2" (nullopt otherwise).
 std::optional<Level> parse_level(const char* name);
 
 namespace detail {
@@ -90,9 +70,6 @@ namespace detail {
 /// never call directly (the running CPU may not support AVX2).
 void flat_tree_avx2(const FlatNode* nodes, const double* rows,
                     std::size_t stride, std::size_t n, double* out);
-void quant_tree_avx2(const QuantNode* nodes, const std::int32_t* ranks,
-                     std::size_t rank_stride, const double* leaf_values,
-                     std::size_t n, double* out);
 
 }  // namespace detail
 

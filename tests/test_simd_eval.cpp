@@ -1,31 +1,23 @@
-// The SIMD kernel tiers and the quantized 8-byte layout share one
-// contract with the flat engine: any dispatch level and either node
-// layout may change throughput only — never a single output bit. These
-// tests sweep every compiled tier over adversarial hand-built trees,
-// fitted forests on extreme-value data, the full workload registry, and
-// the golden pre-overhaul fixture.
+// The SIMD kernel tiers share one contract with the flat engine: the
+// dispatch level may change throughput only — never a single output bit.
+// These tests sweep every compiled tier (the scalar oracle and, where the
+// CPU has it, AVX2) over adversarial hand-built trees and fitted forests
+// on the full workload registry.
 
 #include "rf/simd_eval.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "rf/feature_matrix.hpp"
 #include "rf/flat_forest.hpp"
-#include "rf/quantized_layout.hpp"
 #include "rf/random_forest.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/registry.hpp"
-
-#ifndef PWU_TEST_DATA_DIR
-#define PWU_TEST_DATA_DIR "tests/data"
-#endif
 
 namespace pwu::rf {
 namespace {
@@ -33,9 +25,6 @@ namespace {
 /// Every tier the dispatcher can actually select on this build + CPU.
 std::vector<simd::Level> available_levels() {
   std::vector<simd::Level> levels = {simd::Level::Scalar};
-  if (simd::detected_level() >= simd::Level::Sse2) {
-    levels.push_back(simd::Level::Sse2);
-  }
   if (simd::detected_level() >= simd::Level::Avx2) {
     levels.push_back(simd::Level::Avx2);
   }
@@ -50,10 +39,8 @@ struct LevelGuard {
 
 TEST(SimdEval, LevelParsingAndDetection) {
   EXPECT_STREQ(simd::level_name(simd::Level::Scalar), "scalar");
-  EXPECT_STREQ(simd::level_name(simd::Level::Sse2), "sse2");
   EXPECT_STREQ(simd::level_name(simd::Level::Avx2), "avx2");
   EXPECT_EQ(simd::parse_level("avx2"), simd::Level::Avx2);
-  EXPECT_EQ(simd::parse_level("sse2"), simd::Level::Sse2);
   EXPECT_EQ(simd::parse_level("scalar"), simd::Level::Scalar);
   EXPECT_FALSE(simd::parse_level("avx512").has_value());
   EXPECT_FALSE(simd::parse_level(nullptr).has_value());
@@ -209,170 +196,6 @@ TEST(SimdEval, EveryTierBitExactAcrossAllWorkloadSpaces) {
       }
     }
   }
-}
-
-TEST(QuantizedForest, RoutingEquivalentAcrossAllWorkloadSpacesAndTiers) {
-  // The compaction contract: 8-byte nodes with rank-coded thresholds agree
-  // with the 16-byte layout label for label — every mean and variance bit
-  // — on the paper's full problem set, at every dispatch level.
-  util::ThreadPool pool(3);
-  for (const auto& name : workloads::all_names()) {
-    SCOPED_TRACE(name);
-    const auto workload = workloads::make_workload(name);
-    util::Rng rng(0x0A7 + std::hash<std::string>{}(name) % 1000);
-    const Dataset train = space_dataset(*workload, 70, rng);
-
-    ForestConfig cfg;
-    cfg.num_trees = 9;
-    util::Rng fit_rng(23);
-    RandomForest forest;
-    forest.fit(train, cfg, fit_rng);
-
-    QuantizedForest quant;
-    ASSERT_TRUE(quant.build(forest.flat()));
-    EXPECT_EQ(quant.num_trees(), forest.flat().num_trees());
-    EXPECT_EQ(quant.num_nodes(), forest.flat().num_nodes());
-    // The whole point of the compaction: half the node bytes. (The total
-    // footprint also carries the threshold codebooks and the leaf-value
-    // table, so on tiny leaf-heavy forests it can exceed the flat layout;
-    // the node-array halving is the invariant, the side tables are bounded
-    // by one double per leaf plus one per distinct threshold.)
-    EXPECT_EQ(quant.nodes().size() * sizeof(QuantNode),
-              forest.flat().nodes().size() * sizeof(rf::FlatNode) / 2);
-    EXPECT_LE(quant.memory_bytes(),
-              forest.flat().memory_bytes() + forest.flat().memory_bytes() / 2);
-
-    const auto& space = workload->space();
-    FeatureMatrix probes =
-        FeatureMatrix::with_capacity(space.num_params(), 100);
-    for (std::size_t i = 0; i < 100; ++i) {
-      space.write_features(space.random_config(rng), probes.append_row());
-    }
-
-    for (const simd::Level level : available_levels()) {
-      SCOPED_TRACE(simd::level_name(level));
-      LevelGuard guard(level);
-      std::vector<PredictionStats> full(probes.num_rows());
-      std::vector<PredictionStats> compact(probes.num_rows());
-      forest.flat().predict_stats(probes, full);
-      quant.predict_stats(probes, compact);
-      std::vector<PredictionStats> compact_mt(probes.num_rows());
-      quant.predict_stats(probes, compact_mt, &pool);
-      for (std::size_t i = 0; i < probes.num_rows(); ++i) {
-        EXPECT_EQ(compact[i].mean, full[i].mean);
-        EXPECT_EQ(compact[i].variance, full[i].variance);
-        EXPECT_EQ(compact_mt[i].mean, full[i].mean);
-        EXPECT_EQ(compact_mt[i].variance, full[i].variance);
-      }
-    }
-  }
-}
-
-TEST(QuantizedForest, GoldenFixtureAgreesAtEveryTier) {
-  const std::string path =
-      std::string(PWU_TEST_DATA_DIR) + "/golden_forest_v0.txt";
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << "missing fixture " << path;
-  std::string t1, t2, t3;
-  ASSERT_TRUE(in >> t1 >> t2 >> t3);
-  ASSERT_EQ(t2, "MODEL");
-  RandomForest forest;
-  forest.load(in);
-
-  QuantizedForest quant;
-  ASSERT_TRUE(quant.build(forest.flat()));
-
-  ASSERT_TRUE(in >> t1 >> t2 >> t3);
-  ASSERT_EQ(t2, "PREDICTIONS");
-  std::size_t count = 0;
-  ASSERT_TRUE(in >> count);
-  FeatureMatrix probes = FeatureMatrix::with_capacity(4, count);
-  std::vector<double> expected_mean(count);
-  std::vector<double> expected_variance(count);
-  std::vector<double> row(4);
-  for (std::size_t i = 0; i < count; ++i) {
-    ASSERT_TRUE(in >> row[0] >> row[1] >> row[2] >> row[3] >>
-                expected_mean[i] >> expected_variance[i]);
-    auto dst = probes.append_row();
-    for (std::size_t c = 0; c < 4; ++c) dst[c] = row[c];
-  }
-  for (const simd::Level level : available_levels()) {
-    SCOPED_TRACE(simd::level_name(level));
-    LevelGuard guard(level);
-    std::vector<PredictionStats> out(count);
-    quant.predict_stats(probes, out);
-    for (std::size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(out[i].mean, expected_mean[i]) << "row " << i;
-      EXPECT_EQ(out[i].variance, expected_variance[i]) << "row " << i;
-    }
-  }
-}
-
-TEST(QuantizedForest, ExtremeValueForestSurvivesCompaction) {
-  // Labels and features spanning ~600 orders of magnitude: rank coding
-  // must reproduce the exact threshold doubles (no midpoint snapping), so
-  // even pathological split values round-trip.
-  util::Rng rng(404);
-  Dataset data(2);
-  for (int i = 0; i < 120; ++i) {
-    const double a = std::ldexp(rng.uniform(0.5, 1.0),
-                              static_cast<int>(rng.uniform_int(-300, 300)));
-    const double b = rng.uniform(-1e9, 1e9);
-    data.add(std::vector<double>{a, b}, std::log(std::abs(a)) + b * 1e-9);
-  }
-  ForestConfig cfg;
-  cfg.num_trees = 6;
-  RandomForest forest;
-  forest.fit(data, cfg, rng);
-
-  QuantizedForest quant;
-  ASSERT_TRUE(quant.build(forest.flat()));
-
-  FeatureMatrix probes = FeatureMatrix::with_capacity(2, 64);
-  for (int i = 0; i < 64; ++i) {
-    auto dst = probes.append_row();
-    dst[0] = std::ldexp(rng.uniform(0.5, 1.0),
-                              static_cast<int>(rng.uniform_int(-300, 300)));
-    dst[1] = rng.uniform(-1e9, 1e9);
-  }
-  for (const simd::Level level : available_levels()) {
-    SCOPED_TRACE(simd::level_name(level));
-    LevelGuard guard(level);
-    std::vector<PredictionStats> full(64), compact(64);
-    forest.flat().predict_stats(probes, full);
-    quant.predict_stats(probes, compact);
-    for (std::size_t i = 0; i < 64; ++i) {
-      EXPECT_EQ(compact[i].mean, full[i].mean);
-      EXPECT_EQ(compact[i].variance, full[i].variance);
-    }
-  }
-}
-
-TEST(QuantizedForest, EmptyAndErrorPaths) {
-  QuantizedForest quant;
-  EXPECT_TRUE(quant.empty());
-  EXPECT_FALSE(quant.build(FlatForest{}));  // nothing to compact
-  EXPECT_TRUE(quant.empty());
-
-  util::Rng rng(7);
-  Dataset data(1);
-  for (int i = 0; i < 30; ++i) {
-    data.add(std::vector<double>{rng.uniform(0.0, 1.0)},
-             rng.uniform(0.0, 1.0));
-  }
-  ForestConfig cfg;
-  cfg.num_trees = 3;
-  RandomForest forest;
-  forest.fit(data, cfg, rng);
-  ASSERT_TRUE(quant.build(forest.flat()));
-  EXPECT_FALSE(quant.empty());
-
-  std::vector<PredictionStats> wrong(2);
-  const FeatureMatrix rows = FeatureMatrix::from_rows({{0.5}});
-  EXPECT_THROW(quant.predict_stats(rows, wrong), std::invalid_argument);
-  quant.clear();
-  std::vector<PredictionStats> one(1);
-  EXPECT_THROW(quant.predict_stats(rows, one), std::logic_error);
 }
 
 }  // namespace

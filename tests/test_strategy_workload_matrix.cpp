@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <unordered_set>
 
 #include "core/active_learner.hpp"
@@ -19,6 +20,12 @@ struct MatrixCase {
   std::string workload;
   std::string strategy;
 };
+
+// gtest's default printer dumps the struct's raw bytes — including the
+// heap pointers inside std::string — into every discovered ctest name.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << c.workload << "/" << c.strategy;
+}
 
 std::vector<MatrixCase> matrix_cases() {
   std::vector<MatrixCase> cases;
