@@ -47,8 +47,7 @@ int main() {
 
     // Pool cloud: predictions of the final model over the test set.
     util::ChartSeries pool_cloud{"pool", {}, {}, '.'};
-    for (std::size_t i = 0; i < test.features.num_rows(); ++i) {
-      const auto stats = result.model->predict_stats(test.features.row(i));
+    for (const auto& stats : result.model->predict_stats_batch(test.features)) {
       pool_cloud.x.push_back(stats.mean);
       pool_cloud.y.push_back(stats.stddev);
     }

@@ -210,9 +210,6 @@ int main(int argc, char** argv) {
   json << "    ],\n"
        << "    \"best_kernel_speedup_vs_scalar\": " << best_kernel_speedup
        << ",\n"
-       << "    \"target_speedup\": 2.0,\n"
-       << "    \"target_met\": "
-       << (best_kernel_speedup >= 2.0 ? "true" : "false") << ",\n"
        << "    \"bit_exact\": " << (matrix_exact ? "true" : "false") << "\n"
        << "  },\n"
        << "  \"bit_exact\": " << (bit_exact ? "true" : "false") << "\n"

@@ -28,7 +28,9 @@ int main() {
       "variant", {"scalar", "vectorized", "warp_shuffle"}));
 
   // 2. Declare the black box. In a real deployment this runs the program.
-  auto launch_time = [&gpu_space](const space::Configuration& c) {
+  //    It keeps its own copy of the space, which is moved into the
+  //    workload below.
+  auto launch_time = [gpu_space](const space::Configuration& c) {
     const double block = gpu_space.param(0).numeric_value(c.level(0));
     const double ipt = gpu_space.param(1).numeric_value(c.level(1));
     const bool staging = c.level(2) == 1;
@@ -83,10 +85,10 @@ int main() {
   // 4. Ask the model for the best launch configuration.
   std::size_t best = 0;
   double best_pred = 1e300;
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    const double p = result.model->predict(test.features.row(i));
-    if (p < best_pred) {
-      best_pred = p;
+  const auto stats = result.model->predict_stats_batch(test.features);
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    if (stats[i].mean < best_pred) {
+      best_pred = stats[i].mean;
       best = i;
     }
   }

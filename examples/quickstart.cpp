@@ -65,10 +65,10 @@ int main(int argc, char** argv) {
   //    pool of everything we never ran.
   double best_pred = 1e300;
   std::size_t best_idx = 0;
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    const double pred = result.model->predict(test.features.row(i));
-    if (pred < best_pred) {
-      best_pred = pred;
+  const auto stats = result.model->predict_stats_batch(test.features);
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    if (stats[i].mean < best_pred) {
+      best_pred = stats[i].mean;
       best_idx = i;
     }
   }

@@ -67,10 +67,10 @@ int main(int argc, char** argv) {
   // Best configuration among the model's predictions over the test set.
   std::size_t best = 0;
   double best_pred = 1e300;
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    const double p = result.model->predict(test.features.row(i));
-    if (p < best_pred) {
-      best_pred = p;
+  const auto stats = result.model->predict_stats_batch(test.features);
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    if (stats[i].mean < best_pred) {
+      best_pred = stats[i].mean;
       best = i;
     }
   }

@@ -107,12 +107,10 @@ LearnerResult ActiveLearner::run_with_executor(
     IterationRecord rec;
     rec.num_samples = session.num_labeled();
     rec.cumulative_cost = session.cumulative_cost();
-    rec.top_alpha_rmse.reserve(config_.eval_alphas.size());
-    const Surrogate& model = *session.model();
-    for (double alpha : config_.eval_alphas) {
-      rec.top_alpha_rmse.push_back(top_alpha_rmse(model, test, alpha));
-    }
-    rec.full_rmse = full_rmse(model, test);
+    Evaluation eval =
+        evaluate(*session.model(), test, config_.eval_alphas, thread_pool);
+    rec.top_alpha_rmse = std::move(eval.top_alpha_rmse);
+    rec.full_rmse = eval.full_rmse;
     result.trace.push_back(std::move(rec));
   };
 
@@ -173,12 +171,10 @@ LearnerResult ActiveLearner::run_impl(
     IterationRecord rec;
     rec.num_samples = session.num_labeled();
     rec.cumulative_cost = session.cumulative_cost();
-    rec.top_alpha_rmse.reserve(config_.eval_alphas.size());
-    const Surrogate& model = *session.model();
-    for (double alpha : config_.eval_alphas) {
-      rec.top_alpha_rmse.push_back(top_alpha_rmse(model, test, alpha));
-    }
-    rec.full_rmse = full_rmse(model, test);
+    Evaluation eval =
+        evaluate(*session.model(), test, config_.eval_alphas, thread_pool);
+    rec.top_alpha_rmse = std::move(eval.top_alpha_rmse);
+    rec.full_rmse = eval.full_rmse;
     result.trace.push_back(std::move(rec));
   };
 

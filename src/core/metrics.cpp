@@ -5,7 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/statistics.hpp"
+#include "util/contracts.hpp"
 
 namespace pwu::core {
 
@@ -25,37 +25,58 @@ TestSet build_test_set(const workloads::Workload& workload,
   return test;
 }
 
+namespace {
+/// Validates alpha in (0, 1] and converts it to the Eq. 2 prefix length.
+std::size_t alpha_prefix(const TestSet& test, double alpha) {
+  if (test.size() == 0 || alpha <= 0.0 || alpha > 1.0) {
+    throw std::invalid_argument(
+        "evaluate: empty test set or alpha outside (0, 1]");
+  }
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::floor(static_cast<double>(test.size()) * alpha)));
+}
+}  // namespace
+
 namespace detail {
 
-double ranked_prefix_rmse(const PredictFn& predict, const TestSet& test,
-                          std::size_t count) {
-  if (test.size() == 0) {
-    throw std::invalid_argument("ranked_prefix_rmse: empty test set");
-  }
-  count = std::clamp<std::size_t>(count, 1, test.size());
+std::vector<double> means(std::span<const rf::PredictionStats> stats) {
+  std::vector<double> out(stats.size());
+  for (std::size_t i = 0; i < stats.size(); ++i) out[i] = stats[i].mean;
+  return out;
+}
+
+Evaluation evaluate_predictions(std::span<const double> predicted,
+                                const TestSet& test,
+                                std::span<const double> alphas) {
+  const std::size_t n = alpha_prefix(test, 1.0);
+  PWU_REQUIRE(predicted.size() == n, predicted.size() << " != " << n);
+  std::vector<double> sum(n);  // sum[r]: squared error over ranks 0..r
   double acc = 0.0;
-  for (std::size_t r = 0; r < count; ++r) {
+  for (std::size_t r = 0; r < n; ++r) {
     const std::size_t i = test.ranking[r];
-    const double err = predict(test.features.row(i)) - test.labels[i];
-    acc += err * err;
+    const double err = predicted[i] - test.labels[i];
+    sum[r] = acc += err * err;
   }
-  return std::sqrt(acc / static_cast<double>(count));
+  const auto rmse = [&](std::size_t count) {
+    return std::sqrt(sum[count - 1] / static_cast<double>(count));
+  };
+  Evaluation out{{}, rmse(n)};
+  for (const double alpha : alphas) {
+    out.top_alpha_rmse.push_back(rmse(alpha_prefix(test, alpha)));
+  }
+  return out;
 }
 
-std::size_t alpha_prefix(const TestSet& test, double alpha) {
-  if (alpha <= 0.0 || alpha > 1.0) {
-    throw std::invalid_argument("top_alpha_rmse: alpha must be in (0, 1]");
+TestSet ranked_prefix(const TestSet& test, double alpha) {
+  TestSet prefix;
+  prefix.ranking.resize(alpha_prefix(test, alpha));
+  std::iota(prefix.ranking.begin(), prefix.ranking.end(), std::size_t{0});
+  for (const std::size_t r : prefix.ranking) {
+    prefix.features.add_row(test.features.row(test.ranking[r]));
+    prefix.labels.push_back(test.labels[test.ranking[r]]);
   }
-  return static_cast<std::size_t>(
-      std::floor(static_cast<double>(test.size()) * alpha));
-}
-
-double ranking_tau_impl(const PredictFn& predict, const TestSet& test) {
-  std::vector<double> predicted(test.size());
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    predicted[i] = predict(test.features.row(i));
-  }
-  return util::kendall_tau(test.labels, predicted);
+  return prefix;
 }
 
 }  // namespace detail

@@ -2,20 +2,19 @@
 // performance ranking (Eq. 2) and cumulative labeling cost CC (Eq. 3).
 //
 // The accuracy metrics are templates over any model exposing
-// `double predict(std::span<const double>) const` — the random forest, a
-// Surrogate, or a Gaussian process all qualify.
+// `predict_stats_batch(const rf::FeatureMatrix&, util::ThreadPool*)` — the
+// random forest or any Surrogate. Each predicts the rows it needs in one
+// batched call; non-template helpers reduce the predictions.
 
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
-#include "rf/feature_matrix.hpp"
-#include "space/configuration.hpp"
-#include "space/parameter_space.hpp"
-#include "util/rng.hpp"
+#include "rf/flat_forest.hpp"
+#include "util/statistics.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
 namespace pwu::core {
@@ -38,43 +37,55 @@ TestSet build_test_set(const workloads::Workload& workload,
                        std::span<const space::Configuration> configs,
                        util::Rng& rng, int repetitions = 1);
 
-using PredictFn = std::function<double(std::span<const double>)>;
+struct Evaluation {
+  std::vector<double> top_alpha_rmse;  // one entry per requested alpha
+  double full_rmse = 0.0;
+};
 
 namespace detail {
-/// RMSE of `predict` over the first `count` entries of the performance
-/// ranking (count clamped to [1, n]); throws on an empty test set.
-double ranked_prefix_rmse(const PredictFn& predict, const TestSet& test,
-                          std::size_t count);
-/// Validates alpha in (0, 1] and converts it to the Eq. 2 prefix length.
-std::size_t alpha_prefix(const TestSet& test, double alpha);
-/// Kendall tau between true and predicted labels over the whole test set.
-double ranking_tau_impl(const PredictFn& predict, const TestSet& test);
+std::vector<double> means(std::span<const rf::PredictionStats> stats);
+/// Eq. 2 per alpha plus the full RMSE from `predicted[i]` (test row i), read
+/// off one running squared-error sum down the ranking. Throws
+/// std::invalid_argument on an empty test set or an alpha outside (0, 1].
+Evaluation evaluate_predictions(std::span<const double> predicted,
+                                const TestSet& test,
+                                std::span<const double> alphas);
+/// The Eq. 2 prefix (first floor(n * alpha) ranked rows, at least 1) as a
+/// test set of its own, in ranking order.
+TestSet ranked_prefix(const TestSet& test, double alpha);
 }  // namespace detail
 
-/// Eq. 2: RMSE of the model over the top floor(n * alpha) samples of the
-/// *true* performance ranking (at least 1 sample).
+/// Predicts the test set once (batched, row blocks on `pool` when given)
+/// and scores every alpha and the full RMSE off that one pass.
 template <typename Model>
-double top_alpha_rmse(const Model& model, const TestSet& test, double alpha) {
-  return detail::ranked_prefix_rmse(
-      [&model](std::span<const double> row) { return model.predict(row); },
-      test, detail::alpha_prefix(test, alpha));
+Evaluation evaluate(const Model& model, const TestSet& test,
+                    std::span<const double> alphas,
+                    util::ThreadPool* pool = nullptr) {
+  return detail::evaluate_predictions(
+      detail::means(model.predict_stats_batch(test.features, pool)), test,
+      alphas);
 }
 
 /// RMSE over the entire test set.
 template <typename Model>
 double full_rmse(const Model& model, const TestSet& test) {
-  return detail::ranked_prefix_rmse(
-      [&model](std::span<const double> row) { return model.predict(row); },
-      test, test.size());
+  return evaluate(model, test, {}).full_rmse;
+}
+
+/// Eq. 2: RMSE of the model over the top floor(n * alpha) samples of the
+/// *true* performance ranking (at least 1 sample); predicts only those.
+template <typename Model>
+double top_alpha_rmse(const Model& model, const TestSet& test, double alpha) {
+  return full_rmse(model, detail::ranked_prefix(test, alpha));
 }
 
 /// Rank fidelity of the model over the whole test set (Kendall tau between
 /// true and predicted times) — a supplementary metric beyond the paper.
 template <typename Model>
 double ranking_tau(const Model& model, const TestSet& test) {
-  return detail::ranking_tau_impl(
-      [&model](std::span<const double> row) { return model.predict(row); },
-      test);
+  return util::kendall_tau(
+      test.labels,
+      detail::means(model.predict_stats_batch(test.features, nullptr)));
 }
 
 /// Eq. 3: cumulative cost of a sequence of measured execution times.

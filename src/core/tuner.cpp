@@ -21,6 +21,12 @@ TuningTrace tune_with_annotator(
   const auto& param_space = workload.space();
   rf::Dataset train(param_space.num_params(), param_space.categorical_mask(),
                     param_space.cardinalities());
+  // Encoded once; every iteration scores the whole set in one batch.
+  rf::FeatureMatrix features = rf::FeatureMatrix::with_capacity(
+      param_space.num_params(), candidates.size());
+  for (const auto& candidate : candidates) {
+    param_space.write_features(candidate, features.append_row());
+  }
 
   std::vector<char> evaluated(candidates.size(), 0);
   TuningTrace trace;
@@ -29,7 +35,7 @@ TuningTrace tune_with_annotator(
   auto commit = [&](std::size_t idx) {
     evaluated[idx] = 1;
     const double label = annotate(candidates[idx]);
-    train.add(param_space.features(candidates[idx]), label);
+    train.add(features.row(idx), label);
     // Score against ground truth (noiseless model time).
     const double true_time = workload.base_time(candidates[idx]);
     if (true_time < best) {
@@ -47,13 +53,13 @@ TuningTrace tune_with_annotator(
   rf::RandomForest model;
   for (std::size_t it = 0; it < config.iterations; ++it) {
     model.fit(train, config.forest, rng);
+    const std::vector<rf::PredictionStats> stats =
+        model.predict_stats_batch(features);
     double best_pred = std::numeric_limits<double>::infinity();
     std::size_t best_idx = candidates.size();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (evaluated[i]) continue;
-      const double pred = model.predict(param_space.features(candidates[i]));
-      if (pred < best_pred) {
-        best_pred = pred;
+      if (!evaluated[i] && stats[i].mean < best_pred) {
+        best_pred = stats[i].mean;
         best_idx = i;
       }
     }

@@ -14,6 +14,7 @@
 
 #include "rf/feature_matrix.hpp"
 #include "rf/random_forest.hpp"
+#include "rf/simd_eval.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/registry.hpp"
 
@@ -62,44 +63,65 @@ Dataset space_dataset(const workloads::Workload& workload, std::size_t n,
   return data;
 }
 
+/// Every dispatch level the batch evaluator can select on this build + CPU.
+std::vector<simd::Level> available_levels() {
+  std::vector<simd::Level> levels = {simd::Level::Scalar};
+  if (simd::detected_level() >= simd::Level::Avx2) {
+    levels.push_back(simd::Level::Avx2);
+  }
+  return levels;
+}
+
+/// RAII override so a failing ASSERT cannot leak a pinned level.
+struct LevelGuard {
+  explicit LevelGuard(simd::Level level) { simd::set_level_override(level); }
+  ~LevelGuard() { simd::clear_level_override(); }
+};
+
 TEST(FlatForest, BitExactAcrossAllWorkloadSpaces) {
   // Property over the paper's full benchmark set (12 kernels + kripke +
-  // hypre): flat mean AND variance equal the tree-walk reference exactly,
-  // scalar and batched, serial and parallel.
+  // hypre) at every dispatch level: flat mean AND variance equal the
+  // tree-walk reference exactly, scalar and batched, serial and parallel;
+  // the batched mean also equals predict() (predict_one), the per-row mean
+  // path, so accuracy evaluation may take either.
   util::ThreadPool pool(3);
-  for (const auto& name : workloads::all_names()) {
-    SCOPED_TRACE(name);
-    const auto workload = workloads::make_workload(name);
-    util::Rng rng(0xF1A7 + std::hash<std::string>{}(name) % 1000);
-    const Dataset train = space_dataset(*workload, 80, rng);
+  for (const simd::Level level : available_levels()) {
+    LevelGuard guard(level);
+    for (const auto& name : workloads::all_names()) {
+      SCOPED_TRACE(std::string(simd::level_name(level)) + "/" + name);
+      const auto workload = workloads::make_workload(name);
+      util::Rng rng(0xF1A7 + std::hash<std::string>{}(name) % 1000);
+      const Dataset train = space_dataset(*workload, 80, rng);
 
-    ForestConfig cfg;
-    cfg.num_trees = 15;
-    util::Rng fit_rng(99);
-    RandomForest forest;
-    forest.fit(train, cfg, fit_rng);
+      ForestConfig cfg;
+      cfg.num_trees = 15;
+      util::Rng fit_rng(99);
+      RandomForest forest;
+      forest.fit(train, cfg, fit_rng);
 
-    const auto& space = workload->space();
-    FeatureMatrix probes =
-        FeatureMatrix::with_capacity(space.num_params(), 60);
-    for (std::size_t i = 0; i < 60; ++i) {
-      space.write_features(space.random_config(rng), probes.append_row());
-    }
+      const auto& space = workload->space();
+      FeatureMatrix probes =
+          FeatureMatrix::with_capacity(space.num_params(), 60);
+      for (std::size_t i = 0; i < 60; ++i) {
+        space.write_features(space.random_config(rng), probes.append_row());
+      }
 
-    const auto serial = forest.predict_stats_batch(probes);
-    const auto parallel = forest.predict_stats_batch(probes, &pool);
-    ASSERT_EQ(serial.size(), probes.num_rows());
-    for (std::size_t i = 0; i < probes.num_rows(); ++i) {
-      const PredictionStats ref =
-          forest.predict_stats_reference(probes.row(i));
-      const PredictionStats one = forest.predict_stats(probes.row(i));
-      // EXPECT_EQ, not NEAR: the contract is bit-identity.
-      EXPECT_EQ(one.mean, ref.mean);
-      EXPECT_EQ(one.variance, ref.variance);
-      EXPECT_EQ(serial[i].mean, ref.mean);
-      EXPECT_EQ(serial[i].variance, ref.variance);
-      EXPECT_EQ(parallel[i].mean, ref.mean);
-      EXPECT_EQ(parallel[i].variance, ref.variance);
+      const auto serial = forest.predict_stats_batch(probes);
+      const auto parallel = forest.predict_stats_batch(probes, &pool);
+      ASSERT_EQ(serial.size(), probes.num_rows());
+      for (std::size_t i = 0; i < probes.num_rows(); ++i) {
+        const PredictionStats ref =
+            forest.predict_stats_reference(probes.row(i));
+        const PredictionStats one = forest.predict_stats(probes.row(i));
+        // EXPECT_EQ, not NEAR: the contract is bit-identity.
+        EXPECT_EQ(one.mean, ref.mean);
+        EXPECT_EQ(one.variance, ref.variance);
+        EXPECT_EQ(forest.predict(probes.row(i)), serial[i].mean);
+        EXPECT_EQ(serial[i].mean, ref.mean);
+        EXPECT_EQ(serial[i].variance, ref.variance);
+        EXPECT_EQ(parallel[i].mean, ref.mean);
+        EXPECT_EQ(parallel[i].variance, ref.variance);
+      }
     }
   }
 }

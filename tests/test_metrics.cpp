@@ -7,6 +7,7 @@
 
 #include "rf/random_forest.hpp"
 #include "space/pool.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace pwu::core {
@@ -61,7 +62,7 @@ TEST_F(MetricsTest, TopAlphaRmseUsesOnlyThePrefix) {
   const double top100 = top_alpha_rmse(model_, test_, 1.0);
   EXPECT_TRUE(std::isfinite(top01));
   EXPECT_TRUE(std::isfinite(top100));
-  EXPECT_NEAR(top100, full_rmse(model_, test_), 1e-12);
+  EXPECT_EQ(top100, full_rmse(model_, test_));
 }
 
 TEST_F(MetricsTest, AlphaValidation) {
@@ -72,6 +73,63 @@ TEST_F(MetricsTest, AlphaValidation) {
 TEST_F(MetricsTest, TinyAlphaStillEvaluatesAtLeastOneSample) {
   // floor(200 * 0.001) = 0 -> clamped to 1 sample.
   EXPECT_NO_THROW(top_alpha_rmse(model_, test_, 0.001));
+}
+
+/// Per-row reference for Eq. 2: one predict() call per ranked row and a
+/// fresh sum per prefix — the evaluation path before it was batched.
+double per_row_prefix_rmse(const rf::RandomForest& model, const TestSet& test,
+                           double alpha) {
+  const std::size_t count = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::floor(static_cast<double>(test.size()) * alpha)));
+  double acc = 0.0;
+  for (std::size_t r = 0; r < count; ++r) {
+    const std::size_t i = test.ranking[r];
+    const double err = model.predict(test.features.row(i)) - test.labels[i];
+    acc += err * err;
+  }
+  return std::sqrt(acc / static_cast<double>(count));
+}
+
+TEST_F(MetricsTest, EvaluateMatchesPerRowReferenceBitForBit) {
+  // {0.05, 0.05} repeats an alpha; floor(200 * 0.001) = 0 clamps to 1 row.
+  const std::vector<std::vector<double>> alpha_lists = {
+      {0.05}, {0.01, 0.05, 1.0}, {0.05, 0.05}, {0.001}};
+  const double full = per_row_prefix_rmse(model_, test_, 1.0);
+  for (const auto& alphas : alpha_lists) {
+    const Evaluation eval = evaluate(model_, test_, alphas);
+    ASSERT_EQ(eval.top_alpha_rmse.size(), alphas.size());
+    for (std::size_t k = 0; k < alphas.size(); ++k) {
+      SCOPED_TRACE(alphas[k]);
+      // EXPECT_EQ, not NEAR: the batched pass must be bit-identical.
+      const double expected = per_row_prefix_rmse(model_, test_, alphas[k]);
+      EXPECT_EQ(eval.top_alpha_rmse[k], expected);
+      EXPECT_EQ(top_alpha_rmse(model_, test_, alphas[k]), expected);
+    }
+    EXPECT_EQ(eval.full_rmse, full);
+  }
+  EXPECT_EQ(full_rmse(model_, test_), full);
+}
+
+TEST_F(MetricsTest, EvaluateOnAThreadPoolIsBitIdentical) {
+  // Row blocks only fan out past 256 rows; 500 rows span two blocks.
+  util::Rng rng(6);
+  const auto configs = space::sample_unique(workload_->space(), 500, rng);
+  const TestSet big = build_test_set(*workload_, configs, rng);
+  const std::vector<double> alphas = {0.01, 0.05};
+  util::ThreadPool pool(3);
+  const Evaluation serial = evaluate(model_, big, alphas);
+  const Evaluation parallel = evaluate(model_, big, alphas, &pool);
+  EXPECT_EQ(parallel.top_alpha_rmse, serial.top_alpha_rmse);
+  EXPECT_EQ(parallel.full_rmse, serial.full_rmse);
+  EXPECT_EQ(serial.top_alpha_rmse[1], per_row_prefix_rmse(model_, big, 0.05));
+}
+
+TEST_F(MetricsTest, EvaluateRejectsAlphaOutsideUnitInterval) {
+  for (const double alpha : {0.0, -0.5, 1.5}) {
+    const std::vector<double> alphas = {0.05, alpha};
+    EXPECT_THROW(evaluate(model_, test_, alphas), std::invalid_argument);
+  }
 }
 
 TEST_F(MetricsTest, RankingTauHighForGoodModel) {
@@ -139,6 +197,9 @@ TEST(Metrics, EmptyTestSetRejected) {
   model.fit(train, cfg, rng);
   const TestSet empty;
   EXPECT_THROW(top_alpha_rmse(model, empty, 0.05), std::invalid_argument);
+  EXPECT_THROW(full_rmse(model, empty), std::invalid_argument);
+  const std::vector<double> alphas = {0.05};
+  EXPECT_THROW(evaluate(model, empty, alphas), std::invalid_argument);
 }
 
 }  // namespace
