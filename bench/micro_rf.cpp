@@ -5,8 +5,12 @@
 // scale (Section III: pools of O(10^4) configurations), and emits the
 // numbers as BENCH_rf.json so perf regressions show up in review diffs.
 //
-// Three variants are timed in one binary:
-//   fit        the presorted-column fitter (2000 x 12 rows, 50 trees)
+// Four variants are timed in one binary:
+//   fit        the level-code fitter on continuous data (2000 x 12 rows,
+//              50 trees: high-cardinality columns, small nodes std::sort)
+//   fit_levels the same fitter on SPAPT-shaped data (300 atax
+//              configurations, 13 parameters of 2 to 31 levels, 40 trees:
+//              every node takes the counting sort)
 //   reference  per-row tree walks over the original node tables ("before")
 //   flat       the blocked FlatForest engine ("after", what predict_stats
 //              actually routes through)
@@ -25,6 +29,7 @@
 #include "rf/random_forest.hpp"
 #include "rf/simd_eval.hpp"
 #include "util/rng.hpp"
+#include "workloads/registry.hpp"
 
 namespace {
 
@@ -46,6 +51,22 @@ Dataset make_data(std::size_t rows, std::size_t features,
       label += (f % 3 == 0 ? row[f] * row[f] : row[f]);
     }
     data.add(row, label);
+  }
+  return data;
+}
+
+/// `rows` configurations drawn from a workload's space, labeled by its
+/// simulator — the shape a tuning session fits.
+Dataset make_space_data(const std::string& workload, std::size_t rows,
+                        std::uint64_t seed) {
+  const auto model = pwu::workloads::make_workload(workload);
+  const auto& space = model->space();
+  pwu::util::Rng rng(seed);
+  Dataset data(space.num_params(), space.categorical_mask(),
+               space.cardinalities());
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto config = space.random_config(rng);
+    data.add(space.features(config), model->measure(config, rng, 1));
   }
   return data;
 }
@@ -88,6 +109,17 @@ int main(int argc, char** argv) {
     pwu::util::Rng rng(2);
     RandomForest forest;
     forest.fit(fit_data, fit_cfg, rng);
+    sink = forest.num_trees();
+  });
+
+  // ---- fit: 300 atax configurations, 40 trees (single-threaded) ----
+  const Dataset level_data = make_space_data("atax", 300, 5);
+  ForestConfig level_cfg;
+  level_cfg.num_trees = 40;
+  const double fit_levels_ms = time_best_ms(5, [&] {
+    pwu::util::Rng rng(6);
+    RandomForest forest;
+    forest.fit(level_data, level_cfg, rng);
     sink = forest.num_trees();
   });
 
@@ -181,6 +213,11 @@ int main(int argc, char** argv) {
        << "    \"rows\": 2000, \"features\": 12, \"trees\": 50,\n"
        << "    \"ms\": " << fit_ms << "\n"
        << "  },\n"
+       << "  \"fit_levels\": {\n"
+       << "    \"workload\": \"atax\", \"rows\": 300, \"features\": "
+       << level_data.num_features() << ", \"trees\": 40,\n"
+       << "    \"ms\": " << fit_levels_ms << "\n"
+       << "  },\n"
        << "  \"predict_stats_batch\": {\n"
        << "    \"pool_rows\": " << pool_rows << ", \"trees\": 200,\n"
        << "    \"flat_ms\": " << flat_ms << ",\n"
@@ -217,6 +254,7 @@ int main(int argc, char** argv) {
   json.close();
 
   std::cout << "fit(2000x12, 50 trees):          " << fit_ms << " ms\n"
+            << "fit(atax 300x13, 40 trees):      " << fit_levels_ms << " ms\n"
             << "predict_stats(10k pool, 200t):\n"
             << "  flat      " << flat_ms << " ms  (" << flat_rows_per_sec
             << " rows/s)\n"

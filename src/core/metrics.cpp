@@ -40,12 +40,6 @@ std::size_t alpha_prefix(const TestSet& test, double alpha) {
 
 namespace detail {
 
-std::vector<double> means(std::span<const rf::PredictionStats> stats) {
-  std::vector<double> out(stats.size());
-  for (std::size_t i = 0; i < stats.size(); ++i) out[i] = stats[i].mean;
-  return out;
-}
-
 Evaluation evaluate_predictions(std::span<const double> predicted,
                                 const TestSet& test,
                                 std::span<const double> alphas) {

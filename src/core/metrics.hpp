@@ -2,7 +2,7 @@
 // performance ranking (Eq. 2) and cumulative labeling cost CC (Eq. 3).
 //
 // The accuracy metrics are templates over any model exposing
-// `predict_stats_batch(const rf::FeatureMatrix&, util::ThreadPool*)` — the
+// `predict_mean_batch(const rf::FeatureMatrix&, util::ThreadPool*)` — the
 // random forest or any Surrogate. Each predicts the rows it needs in one
 // batched call; non-template helpers reduce the predictions.
 
@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "rf/flat_forest.hpp"
+#include "rf/feature_matrix.hpp"
 #include "util/statistics.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/workload.hpp"
@@ -43,7 +43,6 @@ struct Evaluation {
 };
 
 namespace detail {
-std::vector<double> means(std::span<const rf::PredictionStats> stats);
 /// Eq. 2 per alpha plus the full RMSE from `predicted[i]` (test row i), read
 /// off one running squared-error sum down the ranking. Throws
 /// std::invalid_argument on an empty test set or an alpha outside (0, 1].
@@ -62,8 +61,7 @@ Evaluation evaluate(const Model& model, const TestSet& test,
                     std::span<const double> alphas,
                     util::ThreadPool* pool = nullptr) {
   return detail::evaluate_predictions(
-      detail::means(model.predict_stats_batch(test.features, pool)), test,
-      alphas);
+      model.predict_mean_batch(test.features, pool), test, alphas);
 }
 
 /// RMSE over the entire test set.
@@ -83,9 +81,8 @@ double top_alpha_rmse(const Model& model, const TestSet& test, double alpha) {
 /// true and predicted times) — a supplementary metric beyond the paper.
 template <typename Model>
 double ranking_tau(const Model& model, const TestSet& test) {
-  return util::kendall_tau(
-      test.labels,
-      detail::means(model.predict_stats_batch(test.features, nullptr)));
+  return util::kendall_tau(test.labels,
+                           model.predict_mean_batch(test.features, nullptr));
 }
 
 /// Eq. 3: cumulative cost of a sequence of measured execution times.

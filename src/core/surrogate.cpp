@@ -17,6 +17,14 @@ std::vector<rf::PredictionStats> Surrogate::predict_stats_batch(
   return out;
 }
 
+std::vector<double> Surrogate::predict_mean_batch(
+    const rf::FeatureMatrix& rows, util::ThreadPool* pool) const {
+  const auto stats = predict_stats_batch(rows, pool);
+  std::vector<double> out(stats.size());
+  for (std::size_t i = 0; i < stats.size(); ++i) out[i] = stats[i].mean;
+  return out;
+}
+
 RandomForestSurrogate::RandomForestSurrogate(rf::ForestConfig config)
     : config_(config) {}
 
@@ -34,6 +42,11 @@ rf::PredictionStats RandomForestSurrogate::predict_stats(
 std::vector<rf::PredictionStats> RandomForestSurrogate::predict_stats_batch(
     const rf::FeatureMatrix& rows, util::ThreadPool* pool) const {
   return forest_.predict_stats_batch(rows, pool);
+}
+
+std::vector<double> RandomForestSurrogate::predict_mean_batch(
+    const rf::FeatureMatrix& rows, util::ThreadPool* pool) const {
+  return forest_.predict_mean_batch(rows, pool);
 }
 
 bool RandomForestSurrogate::save_model(std::ostream& os) const {

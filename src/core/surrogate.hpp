@@ -47,6 +47,12 @@ class Surrogate {
   virtual std::vector<rf::PredictionStats> predict_stats_batch(
       const rf::FeatureMatrix& rows, util::ThreadPool* pool = nullptr) const;
 
+  /// Batched point predictions; equal to the predict_stats_batch means.
+  /// The default takes them from predict_stats_batch, the forest skips
+  /// the variance pass.
+  virtual std::vector<double> predict_mean_batch(
+      const rf::FeatureMatrix& rows, util::ThreadPool* pool = nullptr) const;
+
   /// Point prediction (the posterior/ensemble mean).
   double predict(std::span<const double> row) const {
     return predict_stats(row).mean;
@@ -79,6 +85,8 @@ class RandomForestSurrogate final : public Surrogate {
   bool fitted() const override { return forest_.fitted(); }
   rf::PredictionStats predict_stats(std::span<const double> row) const override;
   std::vector<rf::PredictionStats> predict_stats_batch(
+      const rf::FeatureMatrix& rows, util::ThreadPool* pool) const override;
+  std::vector<double> predict_mean_batch(
       const rf::FeatureMatrix& rows, util::ThreadPool* pool) const override;
 
   /// Forest text serialization — predictions round-trip exactly, which is

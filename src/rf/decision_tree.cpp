@@ -18,33 +18,32 @@ std::size_t TreeConfig::resolve_mtry(std::size_t num_features) const {
 
 void DecisionTree::fit(const Dataset& data, std::vector<std::size_t> indices,
                        const TreeConfig& config, util::Rng& rng,
-                       const SortedColumns* presorted) {
+                       const SortedColumns* codes) {
   if (indices.empty()) {
     throw std::invalid_argument("DecisionTree::fit: empty sample set");
   }
   nodes_.clear();
   nodes_.reserve(2 * indices.size());
-  SortedColumns local_sorted;
-  if (presorted == nullptr) {
-    local_sorted.build(data);
-    presorted = &local_sorted;
+  SortedColumns local_codes;
+  if (codes == nullptr) {
+    local_codes.build(data);
+    codes = &local_codes;
   }
   SplitWorkspace workspace;
-  workspace.init(data, *presorted, indices);
+  workspace.init(data, indices);
   std::vector<std::size_t> feature_scratch(data.num_features());
   std::iota(feature_scratch.begin(), feature_scratch.end(), std::size_t{0});
-  const bool columns_live = indices.size() >= SplitWorkspace::kColumnCutoff;
-  build(data, 0, indices.size(), 0, config, rng, workspace, feature_scratch,
-        columns_live);
+  build(data, *codes, 0, indices.size(), 0, config, rng, workspace,
+        feature_scratch);
 }
 
-std::int32_t DecisionTree::build(const Dataset& data, std::size_t lo,
+std::int32_t DecisionTree::build(const Dataset& data,
+                                 const SortedColumns& codes, std::size_t lo,
                                  std::size_t hi, std::size_t depth,
                                  const TreeConfig& config,
                                  util::Rng& rng PWU_RNG_STREAM(tree_fit),
                                  SplitWorkspace& workspace,
-                                 std::vector<std::size_t>& feature_scratch,
-                                 bool columns_live) {
+                                 std::vector<std::size_t>& feature_scratch) {
   const std::size_t n = hi - lo;
   PWU_ASSERT(n > 0, "build: empty node range [" << lo << ", " << hi << ")");
 
@@ -88,21 +87,16 @@ std::int32_t DecisionTree::build(const Dataset& data, std::size_t lo,
 
   Split best;
   for (std::size_t f = 0; f < mtry; ++f) {
-    Split candidate = best_split_presorted(data, workspace, lo, hi,
-                                           columns_live, feature_scratch[f],
-                                           sum, parent_score,
-                                           config.min_samples_leaf);
+    Split candidate = best_split_coded(data, codes, workspace, lo, hi,
+                                       feature_scratch[f], sum, parent_score,
+                                       config.min_samples_leaf);
     if (candidate.valid() && candidate.gain > best.gain) best = candidate;
   }
   if (!best.valid() || best.gain <= 1e-12 * std::max(1.0, parent_score)) {
     return node_id;
   }
 
-  // Stable partition of the instance range by the chosen split; the columns
-  // are carried along only while some child is big enough to read them.
-  const auto part =
-      partition_presorted(data, workspace, lo, hi, best, columns_live);
-  const std::size_t mid = part.mid;
+  const std::size_t mid = partition_node(data, workspace, lo, hi, best);
   if (mid == lo || mid == hi) {
     // Shouldn't happen given leaf constraints, but guard against pathological
     // floating-point edge cases by keeping the node a leaf.
@@ -110,12 +104,10 @@ std::int32_t DecisionTree::build(const Dataset& data, std::size_t lo,
   }
 
   nodes_[static_cast<std::size_t>(node_id)].split = best;
-  const std::int32_t left = build(data, lo, mid, depth + 1, config, rng,
-                                  workspace, feature_scratch,
-                                  part.columns_partitioned);
-  const std::int32_t right = build(data, mid, hi, depth + 1, config, rng,
-                                   workspace, feature_scratch,
-                                   part.columns_partitioned);
+  const std::int32_t left = build(data, codes, lo, mid, depth + 1, config,
+                                  rng, workspace, feature_scratch);
+  const std::int32_t right = build(data, codes, mid, hi, depth + 1, config,
+                                   rng, workspace, feature_scratch);
   nodes_[static_cast<std::size_t>(node_id)].left = left;
   nodes_[static_cast<std::size_t>(node_id)].right = right;
   return node_id;

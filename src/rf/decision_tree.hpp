@@ -39,12 +39,12 @@ class DecisionTree {
 
   /// Fits the tree to the samples referenced by `indices` (typically a
   /// bootstrap resample). `indices` is consumed (reordered in place).
-  /// `presorted` is the forest-level sorted-column cache; when null the
-  /// tree builds its own (the cache only pays for itself when shared
-  /// across an ensemble).
+  /// `codes` are the forest-level level codes of `data`; when null the
+  /// tree builds its own (they only pay for themselves when shared across
+  /// an ensemble).
   void fit(const Dataset& data, std::vector<std::size_t> indices,
            const TreeConfig& config, util::Rng& rng,
-           const SortedColumns* presorted = nullptr);
+           const SortedColumns* codes = nullptr);
 
   /// Mean label of the leaf that `row` falls into.
   double predict(std::span<const double> row) const;
@@ -71,14 +71,13 @@ class DecisionTree {
   std::size_t memory_bytes() const { return nodes_.capacity() * sizeof(Node); }
 
  private:
-  /// Recursively builds the subtree over instances [lo, hi) of the presorted
-  /// workspace; `columns_live` says whether the workspace's feature columns
-  /// are partitioned down to this node. Returns the node id.
-  std::int32_t build(const Dataset& data, std::size_t lo, std::size_t hi,
-                     std::size_t depth, const TreeConfig& config,
-                     util::Rng& rng, SplitWorkspace& workspace,
-                     std::vector<std::size_t>& feature_scratch,
-                     bool columns_live);
+  /// Recursively builds the subtree over instances [lo, hi) of the
+  /// workspace. Returns the node id.
+  std::int32_t build(const Dataset& data, const SortedColumns& codes,
+                     std::size_t lo, std::size_t hi, std::size_t depth,
+                     const TreeConfig& config, util::Rng& rng,
+                     SplitWorkspace& workspace,
+                     std::vector<std::size_t>& feature_scratch);
 
   std::size_t depth_of(std::int32_t node) const;
 

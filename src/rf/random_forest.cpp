@@ -40,10 +40,10 @@ void RandomForest::fit(const Dataset& data, const ForestConfig& config,
   std::vector<std::vector<char>> in_bag;
   if (config.compute_oob) in_bag.assign(config.num_trees, {});
 
-  // Sort the dataset's feature columns once; every tree expands this shared
-  // read-only order through its own bootstrap in linear time.
-  SortedColumns sorted_columns;
-  sorted_columns.build(data);
+  // Rank the dataset's feature values once; every tree orders its nodes by
+  // these shared read-only codes.
+  SortedColumns codes;
+  codes.build(data);
 
   auto build_tree = [&](std::size_t t) {
     // Tree boundaries are the cancellation checkpoints: cheap enough to poll
@@ -66,7 +66,7 @@ void RandomForest::fit(const Dataset& data, const ForestConfig& config,
       for (std::size_t idx : indices) in_bag[t][idx] = 1;
     }
     trees_[t].fit(data, std::move(indices), config.tree, tree_rngs[t],
-                  &sorted_columns);
+                  &codes);
   };
 
   try {
@@ -199,6 +199,16 @@ std::vector<PredictionStats> RandomForest::predict_stats_batch(
   }
   std::vector<PredictionStats> out(rows.num_rows());
   flat_.predict_stats(rows, out, pool);
+  return out;
+}
+
+std::vector<double> RandomForest::predict_mean_batch(
+    const FeatureMatrix& rows, util::ThreadPool* pool) const {
+  if (trees_.empty()) {
+    throw std::logic_error("RandomForest::predict_mean_batch before fit");
+  }
+  std::vector<double> out(rows.num_rows());
+  flat_.predict_mean(rows, out, pool);
   return out;
 }
 

@@ -70,6 +70,11 @@ class RandomForest {
   std::vector<PredictionStats> predict_stats_batch(
       const FeatureMatrix& rows, util::ThreadPool* pool = nullptr) const;
 
+  /// Batched ensemble means only (no variance pass); each equals the
+  /// predict_stats_batch mean bit-for-bit.
+  std::vector<double> predict_mean_batch(
+      const FeatureMatrix& rows, util::ThreadPool* pool = nullptr) const;
+
   /// The compiled evaluation layout (valid whenever fitted()).
   const FlatForest& flat() const { return flat_; }
 

@@ -17,22 +17,22 @@ bool Split::goes_left(double value) const {
 
 namespace {
 
-// Threshold scan over a node's samples presented in ascending feature-value
-// order (values[i] pairs with label_at(i)). `label_at` abstracts where the
-// labels live: the column path reads inst_label through the sorted order
-// array in place, the gather path reads the contiguous buffer it just
-// filled — templating keeps both free of an extra gather/copy pass.
-template <typename LabelAt>
-Split scan_numerical(std::span<const double> values, LabelAt&& label_at,
-                     std::size_t feature, double total_sum,
-                     double parent_score, std::size_t min_samples_leaf) {
-  const std::size_t n = values.size();
+// Threshold scan over a node's samples presented in ascending feature
+// order. keys[i] orders like the i-th feature value (equal keys, equal
+// values: a level code, or the value itself), labels[i] is its label, and
+// value_at(i) reads the value, only where a threshold is placed.
+template <typename Key, typename ValueAt>
+Split scan_numerical(std::span<const Key> keys, const double* labels,
+                     ValueAt&& value_at, std::size_t feature,
+                     double total_sum, double parent_score,
+                     std::size_t min_samples_leaf) {
+  const std::size_t n = keys.size();
   Split best;
   double left_sum = 0.0;
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    left_sum += label_at(i);
+    left_sum += labels[i];
     // Only cut between distinct feature values.
-    if (values[i] == values[i + 1]) continue;
+    if (keys[i] == keys[i + 1]) continue;
     const std::size_t n_left = i + 1;
     const std::size_t n_right = n - n_left;
     if (n_left < min_samples_leaf || n_right < min_samples_leaf) continue;
@@ -46,19 +46,18 @@ Split scan_numerical(std::span<const double> values, LabelAt&& label_at,
       best.categorical = false;
       // Midpoint threshold is robust to evaluation-time values between the
       // two training values.
-      best.threshold = 0.5 * (values[i] + values[i + 1]);
+      best.threshold = 0.5 * (value_at(i) + value_at(i + 1));
       best.gain = gain;
     }
   }
   return best;
 }
 
-// Breiman's optimal-grouping scan over a node's samples presented in
+// Breiman's optimal-grouping scan over a node's n samples presented in
 // ascending level order (any fixed order yields the same grouping; the
-// sorted stream keeps per-level sums bit-identical across the presorted and
-// gather paths).
-template <typename LabelAt>
-Split scan_categorical(std::span<const double> values, LabelAt&& label_at,
+// sorted stream keeps per-level sums bit-identical across all paths).
+template <typename ValueAt>
+Split scan_categorical(std::size_t n, const double* labels, ValueAt&& value_at,
                        std::size_t levels, std::size_t feature,
                        double parent_score, std::size_t min_samples_leaf,
                        SplitWorkspace& ws) {
@@ -67,9 +66,9 @@ Split scan_categorical(std::span<const double> values, LabelAt&& label_at,
   auto& order = ws.cat_order;
   sum.assign(levels, 0.0);
   count.assign(levels, 0);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const auto level = static_cast<std::size_t>(std::llround(values[i]));
-    sum[level] += label_at(i);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto level = static_cast<std::size_t>(std::llround(value_at(i)));
+    sum[level] += labels[i];
     ++count[level];
   }
 
@@ -120,17 +119,36 @@ Split scan_categorical(std::span<const double> values, LabelAt&& label_at,
   return best;
 }
 
-template <typename LabelAt>
+template <typename Key, typename ValueAt>
 Split scan_sorted(const Dataset& data, SplitWorkspace& ws,
-                  std::span<const double> values, LabelAt&& label_at,
-                  std::size_t feature, double total_sum, double parent_score,
-                  std::size_t min_samples_leaf) {
+                  std::span<const Key> keys, const double* labels,
+                  ValueAt&& value_at, std::size_t feature, double total_sum,
+                  double parent_score, std::size_t min_samples_leaf) {
   if (data.is_categorical(feature)) {
-    return scan_categorical(values, label_at, data.cardinality(feature),
-                            feature, parent_score, min_samples_leaf, ws);
+    return scan_categorical(keys.size(), labels, value_at,
+                            data.cardinality(feature), feature, parent_score,
+                            min_samples_leaf, ws);
   }
-  return scan_numerical(values, label_at, feature, total_sum, parent_score,
-                        min_samples_leaf);
+  return scan_numerical(keys, labels, value_at, feature, total_sum,
+                        parent_score, min_samples_leaf);
+}
+
+// Stable partition of ids[lo, hi) by left_mark: lefts are written forward
+// in place (the write cursor never passes the read cursor), rights are
+// stashed in scratch and copied back after them.
+void stable_split(SplitWorkspace& ws, std::uint32_t* ids, std::size_t lo,
+                  std::size_t hi, std::size_t mid) {
+  std::size_t w = lo;
+  std::size_t t = 0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const std::uint32_t inst = ids[i];
+    if (ws.left_mark[inst]) {
+      ids[w++] = inst;
+    } else {
+      ws.tmp_idx[t++] = inst;
+    }
+  }
+  std::copy_n(ws.tmp_idx.data(), t, ids + mid);
 }
 
 }  // namespace
@@ -139,32 +157,28 @@ void SortedColumns::build(const Dataset& data) {
   const std::size_t n = data.size();
   const std::size_t d = data.num_features();
   num_rows = n;
-  num_features = d;
-  row_order.resize(d * n);
-  sorted_value.resize(d * n);
+  code.resize(d * n);
+  num_codes.assign(d, 0);
   std::vector<std::pair<double, std::uint32_t>> keyed(n);
   for (std::size_t f = 0; f < d; ++f) {
     for (std::size_t r = 0; r < n; ++r) {
       keyed[r] = {data.x(r, f), static_cast<std::uint32_t>(r)};
     }
-    // Lexicographic (value, row id): a unique total order, so the column's
-    // tie layout is algorithm-independent.
     std::sort(keyed.begin(), keyed.end());
-    std::uint32_t* ord = row_order.data() + f * n;
-    double* val = sorted_value.data() + f * n;
-    for (std::size_t r = 0; r < n; ++r) {
-      ord[r] = keyed[r].second;
-      val[r] = keyed[r].first;
+    std::uint32_t* col = code.data() + f * n;
+    std::uint32_t rank = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Equal values (including -0.0 and +0.0) share a rank.
+      if (i > 0 && keyed[i - 1].first < keyed[i].first) ++rank;
+      col[keyed[i].second] = rank;
     }
+    num_codes[f] = n == 0 ? 0 : rank + 1;
   }
 }
 
-void SplitWorkspace::init(const Dataset& data, const SortedColumns& sorted,
+void SplitWorkspace::init(const Dataset& data,
                           std::span<const std::size_t> indices) {
   const std::size_t m = indices.size();
-  const std::size_t d = data.num_features();
-  num_instances = m;
-  num_features = d;
   inst_row.resize(m);
   inst_label.resize(m);
   for (std::size_t j = 0; j < m; ++j) {
@@ -173,169 +187,92 @@ void SplitWorkspace::init(const Dataset& data, const SortedColumns& sorted,
   }
   node_insts.resize(m);
   std::iota(node_insts.begin(), node_insts.end(), std::uint32_t{0});
+
+  // Counting sort on row id; instances enter in ascending id, so ties keep
+  // (row id, instance id) order.
+  counts.assign(data.size() + 1, 0);
+  for (std::size_t j = 0; j < m; ++j) ++counts[inst_row[j] + 1];
+  std::partial_sum(counts.begin(), counts.end(), counts.begin());
+  row_insts.resize(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    row_insts[counts[inst_row[j]]++] = static_cast<std::uint32_t>(j);
+  }
+
   left_mark.assign(m, 0);
   tmp_idx.resize(m);
-  tmp_val.resize(m);
-
-  // Small trees never touch the columns (every node gathers), so skip the
-  // expansion cost entirely.
-  if (m < kColumnCutoff) {
-    order.clear();
-    value.clear();
-    return;
-  }
-
-  // Bucket the instance multiset by dataset row, ascending instance id
-  // within each bucket (the fill loop runs j ascending). Counting-sort
-  // layout: after the fill, bucket r occupies
-  // [r == 0 ? 0 : bucket_start[r-1], bucket_start[r]).
-  const std::size_t n = sorted.num_rows;
-  bucket_start.assign(n, 0);
-  for (std::size_t j = 0; j < m; ++j) ++bucket_start[inst_row[j]];
-  std::uint32_t running = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::uint32_t count = bucket_start[r];
-    bucket_start[r] = running;
-    running += count;
-  }
-  bucket_insts.resize(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    bucket_insts[bucket_start[inst_row[j]]++] = static_cast<std::uint32_t>(j);
-  }
-
-  // Expand each forest-level sorted column through the buckets: instances
-  // come out in (value, row id, instance id) order, in linear time instead
-  // of a per-tree sort.
-  order.resize(d * m);
-  value.resize(d * m);
-  for (std::size_t f = 0; f < d; ++f) {
-    const std::uint32_t* src_ord = sorted.row_order.data() + f * n;
-    const double* src_val = sorted.sorted_value.data() + f * n;
-    std::uint32_t* ord = order.data() + f * m;
-    double* val = value.data() + f * m;
-    std::size_t k = 0;
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      const std::uint32_t row = src_ord[pos];
-      const double v = src_val[pos];
-      const std::uint32_t e = bucket_start[row];
-      for (std::uint32_t b = row == 0 ? 0 : bucket_start[row - 1]; b < e;
-           ++b) {
-        ord[k] = bucket_insts[b];
-        val[k] = v;
-        ++k;
-      }
-    }
-  }
+  keys.resize(m);
+  scan_code.resize(m);
+  scan_inst.resize(m);
+  scan_labels.resize(m);
 }
 
-Split best_split_presorted(const Dataset& data, SplitWorkspace& ws,
-                           std::size_t lo, std::size_t hi, bool columns_live,
-                           std::size_t feature, double node_sum,
-                           double parent_score,
-                           std::size_t min_samples_leaf) {
-  const std::size_t n = hi - lo;
-  if (n < 2) return {};
-  if (columns_live) {
-    const std::size_t base = feature * ws.num_instances;
-    const std::uint32_t* ord = ws.order.data() + base + lo;
-    const double* labels = ws.inst_label.data();
-    const std::span<const double> values(ws.value.data() + base + lo, n);
-    return scan_sorted(
-        data, ws, values, [ord, labels](std::size_t i) { return labels[ord[i]]; },
-        feature, node_sum, parent_score, min_samples_leaf);
+Split best_split_coded(const Dataset& data, const SortedColumns& codes,
+                       SplitWorkspace& ws, std::size_t lo, std::size_t hi,
+                       std::size_t feature, double node_sum,
+                       double parent_score, std::size_t min_samples_leaf) {
+  const std::size_t k = hi - lo;
+  if (k < 2) return {};
+  const std::uint32_t* col = codes.code.data() + feature * codes.num_rows;
+  const std::size_t num_codes = codes.num_codes[feature];
+  const std::uint32_t* insts = ws.row_insts.data() + lo;
+  const std::uint32_t* inst_row = ws.inst_row.data();
+  const double* inst_label = ws.inst_label.data();
+  std::uint32_t* scan_code = ws.scan_code.data();
+  std::uint32_t* scan_inst = ws.scan_inst.data();
+  double* scan_labels = ws.scan_labels.data();
+
+  if (num_codes <= SplitWorkspace::kCountingFactor * k) {
+    // Stable counting sort by code: insts is in (row id, instance id)
+    // order, so the output is in (code, row id, instance id) order.
+    auto& counts = ws.counts;
+    counts.assign(num_codes + 1, 0);
+    for (std::size_t i = 0; i < k; ++i) ++counts[col[inst_row[insts[i]]] + 1];
+    std::partial_sum(counts.begin(), counts.end(), counts.begin());
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::uint32_t inst = insts[i];
+      const std::uint32_t c = col[inst_row[inst]];
+      const std::uint32_t dst = counts[c]++;
+      scan_code[dst] = c;
+      scan_inst[dst] = inst;
+      scan_labels[dst] = inst_label[inst];
+    }
+  } else {
+    // Many codes, few instances: sort packed (code, position) keys; the
+    // position breaks ties in (row id, instance id) order.
+    std::uint64_t* keys = ws.keys.data();
+    for (std::size_t i = 0; i < k; ++i) {
+      keys[i] = (static_cast<std::uint64_t>(col[inst_row[insts[i]]]) << 32) | i;
+    }
+    std::sort(keys, keys + k);
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::uint32_t inst = insts[keys[i] & 0xffffffffu];
+      scan_code[i] = static_cast<std::uint32_t>(keys[i] >> 32);
+      scan_inst[i] = inst;
+      scan_labels[i] = inst_label[inst];
+    }
   }
-  // Gather path: sort this node's values on the spot, keyed exactly like
-  // the columns — (value, dataset row id, instance id), with the two ids
-  // packed into one 64-bit tiebreak — so the resulting stream is identical
-  // to what a live column would hold.
-  ws.gather.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t inst = ws.node_insts[lo + i];
-    const std::uint32_t row = ws.inst_row[inst];
-    ws.gather[i] = {data.x(row, feature),
-                    (static_cast<std::uint64_t>(row) << 32) | inst};
-  }
-  std::sort(ws.gather.begin(), ws.gather.begin() + static_cast<std::ptrdiff_t>(n));
-  ws.tmp_val.resize(std::max(ws.tmp_val.size(), n));
-  ws.scan_labels.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ws.tmp_val[i] = ws.gather[i].first;
-    const auto inst = static_cast<std::uint32_t>(ws.gather[i].second);
-    ws.scan_labels[i] = ws.inst_label[inst];
-  }
-  const std::span<const double> values(ws.tmp_val.data(), n);
-  const double* labels = ws.scan_labels.data();
   return scan_sorted(
-      data, ws, values, [labels](std::size_t i) { return labels[i]; },
+      data, ws, std::span<const std::uint32_t>(scan_code, k), scan_labels,
+      [&](std::size_t i) { return data.x(inst_row[scan_inst[i]], feature); },
       feature, node_sum, parent_score, min_samples_leaf);
 }
 
-PartitionResult partition_presorted(const Dataset& data, SplitWorkspace& ws,
-                                    std::size_t lo, std::size_t hi,
-                                    const Split& split, bool columns_live) {
+std::size_t partition_node(const Dataset& data, SplitWorkspace& ws,
+                           std::size_t lo, std::size_t hi,
+                           const Split& split) {
   const auto feature = static_cast<std::size_t>(split.feature);
   std::size_t n_left = 0;
-  if (columns_live) {
-    // The split feature's own column already holds this node's values in
-    // sorted order: mark through it sequentially instead of re-fetching
-    // each instance's value from the dataset.
-    const std::size_t base = feature * ws.num_instances;
-    const std::uint32_t* ord = ws.order.data() + base;
-    const double* val = ws.value.data() + base;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const bool left = split.goes_left(val[i]);
-      ws.left_mark[ord[i]] = left ? 1 : 0;
-      n_left += left ? 1u : 0u;
-    }
-  } else {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t inst = ws.node_insts[i];
-      const bool left = split.goes_left(data.x(ws.inst_row[inst], feature));
-      ws.left_mark[inst] = left ? 1 : 0;
-      n_left += left ? 1u : 0u;
-    }
+  for (std::size_t i = lo; i < hi; ++i) {
+    const std::uint32_t inst = ws.node_insts[i];
+    const bool left = split.goes_left(data.x(ws.inst_row[inst], feature));
+    ws.left_mark[inst] = left ? 1 : 0;
+    n_left += left ? 1u : 0u;
   }
   const std::size_t mid = lo + n_left;
-  if (mid == lo || mid == hi) {
-    return {mid, false};  // degenerate; caller keeps a leaf
-  }
-  // Carrying the columns costs O(D * n); it only pays off if some child is
-  // big enough to read them (column use never resumes once dropped, because
-  // subtree sizes only shrink).
-  const std::size_t n_right = hi - mid;
-  const bool partition_columns =
-      columns_live && (n_left >= SplitWorkspace::kColumnCutoff ||
-                       n_right >= SplitWorkspace::kColumnCutoff);
-
-  // Stable partition: write lefts forward in place (the write cursor never
-  // passes the read cursor), stash rights in scratch, copy them back.
-  auto stable_split = [&](std::uint32_t* ids, double* vals) {
-    std::size_t w = lo;
-    std::size_t t = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t inst = ids[i];
-      if (ws.left_mark[inst]) {
-        ids[w] = inst;
-        if (vals != nullptr) vals[w] = vals[i];
-        ++w;
-      } else {
-        ws.tmp_idx[t] = inst;
-        if (vals != nullptr) ws.tmp_val[t] = vals[i];
-        ++t;
-      }
-    }
-    std::copy_n(ws.tmp_idx.data(), t, ids + mid);
-    if (vals != nullptr) std::copy_n(ws.tmp_val.data(), t, vals + mid);
-  };
-
-  stable_split(ws.node_insts.data(), nullptr);
-  if (partition_columns) {
-    const std::size_t m = ws.num_instances;
-    for (std::size_t f = 0; f < ws.num_features; ++f) {
-      stable_split(ws.order.data() + f * m, ws.value.data() + f * m);
-    }
-  }
-  return {mid, partition_columns};
+  if (mid == lo || mid == hi) return mid;  // degenerate; caller keeps a leaf
+  stable_split(ws, ws.node_insts.data(), lo, hi, mid);
+  stable_split(ws, ws.row_insts.data(), lo, hi, mid);
+  return mid;
 }
 
 Split best_split_on_feature(const Dataset& data,
@@ -348,22 +285,23 @@ Split best_split_on_feature(const Dataset& data,
   auto& gather = workspace.gather;
   gather.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    gather[i] = {data.x(indices[i], feature), static_cast<std::uint32_t>(i)};
+    gather[i] = {data.x(indices[i], feature), i};
   }
   std::sort(gather.begin(), gather.end());
   workspace.tmp_val.resize(std::max(workspace.tmp_val.size(), n));
-  workspace.scan_labels.resize(n);
+  workspace.scan_labels.resize(std::max(workspace.scan_labels.size(), n));
   double total_sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     workspace.tmp_val[i] = gather[i].first;
     workspace.scan_labels[i] = data.y(indices[gather[i].second]);
     total_sum += workspace.scan_labels[i];
   }
-  const std::span<const double> values(workspace.tmp_val.data(), n);
-  const double* labels = workspace.scan_labels.data();
+  const double* values = workspace.tmp_val.data();
   return scan_sorted(
-      data, workspace, values, [labels](std::size_t i) { return labels[i]; },
-      feature, total_sum, parent_score, min_samples_leaf);
+      data, workspace, std::span<const double>(values, n),
+      workspace.scan_labels.data(),
+      [values](std::size_t i) { return values[i]; }, feature, total_sum,
+      parent_score, min_samples_leaf);
 }
 
 }  // namespace pwu::rf

@@ -9,18 +9,17 @@
 // order the levels by their mean label, then scan prefixes of that order as
 // the left set. The left set is stored as a 64-bit level mask.
 //
-// Two ways to produce the sorted scan order:
-//  - presorted columns: SortedColumns sorts every dataset feature column
-//    once per forest; SplitWorkspace::init expands that order through the
-//    tree's bootstrap multiset in linear time, and node splits then
-//    stable-partition the columns so each node range is already sorted —
-//    O(n) per feature per node instead of the former copy-and-std::sort
-//    O(n log n);
-//  - gather: small nodes (and the standalone entry point below) collect
-//    (value, key) pairs and sort them on the spot.
-// Both paths order ties by (value, dataset row id, instance id), so they
-// produce identical scan sequences — and therefore bit-identical sums and
-// gains.
+// The scan order is (value, dataset row id, instance id). Node searches read
+// it from per-forest level codes: SortedColumns ranks each column's distinct
+// values once per forest, and SplitWorkspace keeps every node's instances in
+// (row id, instance id) order, so ordering a node by code is enough:
+//  - few codes (num_codes <= 16 * node size): a stable counting sort by
+//    code, O(node size + num_codes);
+//  - many codes (continuous features in small nodes): std::sort of packed
+//    (code, position) keys.
+// best_split_on_feature sorts (value, position) pairs on the spot instead and
+// serves as the oracle. All paths yield the same scan sequence, and
+// therefore bit-identical sums, gains and trees.
 
 #pragma once
 
@@ -48,90 +47,71 @@ struct Split {
   bool operator==(const Split& other) const = default;
 };
 
-/// Dataset feature columns sorted once per forest — for each feature, the
-/// dataset row ids (and their values, kept alongside for sequential reads)
-/// in ascending (value, row id) order. Read-only after build, so every
-/// tree's workspace init can share one instance across threads.
+/// Per-forest level codes: each row's dense rank among its column's
+/// distinct values (equal values share a code), built by one sort per
+/// column. Read-only after build, so every tree shares one instance across
+/// threads.
 struct SortedColumns {
   std::size_t num_rows = 0;
-  std::size_t num_features = 0;
-  /// Feature f occupies [f*num_rows, (f+1)*num_rows) of both arrays.
-  std::vector<std::uint32_t> row_order;
-  std::vector<double> sorted_value;
+  /// code[f*num_rows + row] is the rank of data.x(row, f).
+  std::vector<std::uint32_t> code;
+  /// Distinct values per feature.
+  std::vector<std::uint32_t> num_codes;
 
   void build(const Dataset& data);
 };
 
-/// Per-tree presorted training state plus the scratch buffers reused across
-/// split searches. One instance per tree build; nothing is allocated per
-/// node once the tree's arrays are sized.
+/// Per-tree node partition plus the scratch buffers reused across split
+/// searches. One instance per tree build; nothing is allocated per node.
 struct SplitWorkspace {
-  /// Nodes at or above this size keep their presorted feature columns
-  /// partitioned for the children; smaller subtrees fall back to the gather
-  /// path, where sorting a handful of pairs beats touching every column.
-  static constexpr std::size_t kColumnCutoff = 64;
+  /// A node of k instances orders a feature by counting sort when the
+  /// feature has at most kCountingFactor * k codes, else by std::sort.
+  static constexpr std::size_t kCountingFactor = 16;
 
-  // ---- presorted per-tree state (built by init) ----
-  std::size_t num_instances = 0;
-  std::size_t num_features = 0;
   std::vector<std::uint32_t> inst_row;  // instance -> dataset row
   std::vector<double> inst_label;       // instance -> label
-  /// Feature columns, flattened: column f occupies [f*m, (f+1)*m).
-  /// Invariant: within every live node range [lo, hi), order/value hold
-  /// exactly the node's instances sorted by (value, row id, instance id).
-  std::vector<std::uint32_t> order;
-  std::vector<double> value;
-  /// The node-partition array (every node owns a contiguous range of it).
+  /// Every node owns the same range [lo, hi) of both arrays: node_insts
+  /// holds its instances in instance-id order (node sums run in this
+  /// order), row_insts in (row id, instance id) order.
   std::vector<std::uint32_t> node_insts;
+  std::vector<std::uint32_t> row_insts;
 
   // ---- scratch ----
-  std::vector<char> left_mark;                         // instance -> side
-  std::vector<std::uint32_t> tmp_idx;                  // partition scratch
-  std::vector<double> tmp_val;
-  std::vector<std::pair<double, std::uint64_t>> gather;  // small-node sort
-  std::vector<double> scan_labels;
-  std::vector<std::uint32_t> bucket_start;  // row -> first instance slot
-  std::vector<std::uint32_t> bucket_insts;  // instances grouped by row
+  std::vector<char> left_mark;          // instance -> side
+  std::vector<std::uint32_t> tmp_idx;   // partition scratch
+  std::vector<std::uint32_t> counts;    // counting-sort histogram
+  std::vector<std::uint64_t> keys;      // packed (code, position) sort keys
+  std::vector<std::uint32_t> scan_code;  // node's codes in scan order
+  std::vector<std::uint32_t> scan_inst;  // ... and their instances
+  std::vector<double> scan_labels;       // ... and their labels
+  std::vector<std::pair<double, std::size_t>> gather;  // oracle sort
+  std::vector<double> tmp_val;                          // oracle values
   std::vector<double> cat_sum;
   std::vector<std::size_t> cat_count;
   std::vector<std::size_t> cat_order;
 
-  /// Lays out every feature column of the instance multiset `indices` (one
-  /// dataset row per instance, repeats allowed) in canonical sorted order by
-  /// expanding the forest-level `sorted` columns through the multiset —
-  /// linear per column, replacing both the former per-node sorts and the
-  /// former per-tree O(D n log n) sorts.
-  void init(const Dataset& data, const SortedColumns& sorted,
-            std::span<const std::size_t> indices);
+  /// Sets up the instance multiset `indices` (one dataset row per
+  /// instance, repeats allowed) as the root range: O(m + n).
+  void init(const Dataset& data, std::span<const std::size_t> indices);
 };
 
-/// Finds the best split of the node range [lo, hi) on `feature`, reading
-/// the presorted column when `columns_live`, else gathering from
-/// node_insts. `node_sum` is the node's label sum and `parent_score` its
-/// sum(y)^2/n; gains are relative to the latter. Returns an invalid split
-/// when no threshold satisfies `min_samples_leaf`.
-Split best_split_presorted(const Dataset& data, SplitWorkspace& ws,
-                           std::size_t lo, std::size_t hi, bool columns_live,
-                           std::size_t feature, double node_sum,
-                           double parent_score, std::size_t min_samples_leaf);
+/// Finds the best split of the node range [lo, hi) on `feature`.
+/// `node_sum` is the node's label sum and `parent_score` its sum(y)^2/n;
+/// gains are relative to the latter. Returns an invalid split when no
+/// threshold satisfies `min_samples_leaf`.
+Split best_split_coded(const Dataset& data, const SortedColumns& codes,
+                       SplitWorkspace& ws, std::size_t lo, std::size_t hi,
+                       std::size_t feature, double node_sum,
+                       double parent_score, std::size_t min_samples_leaf);
 
-struct PartitionResult {
-  std::size_t mid = 0;              // boundary index: left = [lo, mid)
-  bool columns_partitioned = false; // children may keep reading the columns
-};
+/// Stable-partitions the node range [lo, hi) of both instance orders by
+/// `split` and returns the boundary: left = [lo, mid).
+std::size_t partition_node(const Dataset& data, SplitWorkspace& ws,
+                           std::size_t lo, std::size_t hi, const Split& split);
 
-/// Stable-partitions the node range [lo, hi) by `split`: node_insts always,
-/// and — when `columns_live` and at least one child reaches kColumnCutoff —
-/// every feature column too, so that child can keep reading them. Columns
-/// are left untouched when both children would gather anyway (the O(D * n)
-/// pass would be pure waste).
-PartitionResult partition_presorted(const Dataset& data, SplitWorkspace& ws,
-                                    std::size_t lo, std::size_t hi,
-                                    const Split& split, bool columns_live);
-
-/// Standalone best-split search over dataset rows `indices` (the gather
-/// path; ties order by position in `indices`). Kept as the direct, testable
-/// entry point.
+/// Standalone best-split search over dataset rows `indices`, sorting
+/// (value, position) pairs on the spot; ties order by position in
+/// `indices`. The oracle for best_split_coded.
 Split best_split_on_feature(const Dataset& data,
                             std::span<const std::size_t> indices,
                             std::size_t feature, double parent_score,

@@ -83,7 +83,8 @@ TEST(FlatForest, BitExactAcrossAllWorkloadSpaces) {
   // hypre) at every dispatch level: flat mean AND variance equal the
   // tree-walk reference exactly, scalar and batched, serial and parallel;
   // the batched mean also equals predict() (predict_one), the per-row mean
-  // path, so accuracy evaluation may take either.
+  // path, and predict_mean_batch, the means-only path accuracy evaluation
+  // takes.
   util::ThreadPool pool(3);
   for (const simd::Level level : available_levels()) {
     LevelGuard guard(level);
@@ -100,15 +101,20 @@ TEST(FlatForest, BitExactAcrossAllWorkloadSpaces) {
       forest.fit(train, cfg, fit_rng);
 
       const auto& space = workload->space();
+      // More probes than one 256-row block, so the pooled calls really
+      // fan out across blocks.
       FeatureMatrix probes =
-          FeatureMatrix::with_capacity(space.num_params(), 60);
-      for (std::size_t i = 0; i < 60; ++i) {
+          FeatureMatrix::with_capacity(space.num_params(), 300);
+      for (std::size_t i = 0; i < 300; ++i) {
         space.write_features(space.random_config(rng), probes.append_row());
       }
 
       const auto serial = forest.predict_stats_batch(probes);
       const auto parallel = forest.predict_stats_batch(probes, &pool);
+      const auto means = forest.predict_mean_batch(probes);
+      const auto parallel_means = forest.predict_mean_batch(probes, &pool);
       ASSERT_EQ(serial.size(), probes.num_rows());
+      ASSERT_EQ(means.size(), probes.num_rows());
       for (std::size_t i = 0; i < probes.num_rows(); ++i) {
         const PredictionStats ref =
             forest.predict_stats_reference(probes.row(i));
@@ -121,6 +127,8 @@ TEST(FlatForest, BitExactAcrossAllWorkloadSpaces) {
         EXPECT_EQ(serial[i].variance, ref.variance);
         EXPECT_EQ(parallel[i].mean, ref.mean);
         EXPECT_EQ(parallel[i].variance, ref.variance);
+        EXPECT_EQ(means[i], serial[i].mean);
+        EXPECT_EQ(parallel_means[i], serial[i].mean);
       }
     }
   }

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/statistics.hpp"
+#include "workloads/registry.hpp"
+
+#ifndef PWU_TEST_DATA_DIR
+#define PWU_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace pwu::rf {
 namespace {
@@ -17,6 +27,21 @@ Dataset smooth_function_data(std::size_t n, util::Rng& rng) {
     const double b = rng.uniform(0.0, 10.0);
     const double c = rng.uniform(0.0, 10.0);
     d.add(std::vector<double>{a, b, c}, a * a + 2.0 * b - 0.5 * c);
+  }
+  return d;
+}
+
+/// `rows` configurations drawn from a workload's space (few levels per
+/// feature, real categorical level indices), labeled by its simulator.
+Dataset workload_data(const std::string& name, std::size_t rows,
+                      util::Rng& rng) {
+  const auto workload = workloads::make_workload(name);
+  const auto& space = workload->space();
+  Dataset d(space.num_params(), space.categorical_mask(),
+            space.cardinalities());
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto config = space.random_config(rng);
+    d.add(space.features(config), workload->measure(config, rng, 1));
   }
   return d;
 }
@@ -140,6 +165,22 @@ TEST(RandomForest, ParallelFitMatchesSerialFit) {
                                      probe.uniform(0.0, 10.0)};
     EXPECT_DOUBLE_EQ(serial.predict(row), parallel.predict(row));
   }
+
+  // SPAPT-shaped data (few levels per feature, so nodes take the counting
+  // sort): every tree's workspace reads the one shared set of level codes
+  // while the pool builds trees concurrently.
+  util::Rng level_rng(17);
+  const Dataset levels = workload_data("atax", 150, level_rng);
+  ForestConfig cfg;
+  cfg.num_trees = 40;
+  RandomForest level_serial, level_parallel;
+  util::Rng fit_c(8), fit_d(8);
+  level_serial.fit(levels, cfg, fit_c, nullptr);
+  level_parallel.fit(levels, cfg, fit_d, &pool);
+  std::ostringstream serial_text, parallel_text;
+  level_serial.save(serial_text);
+  level_parallel.save(parallel_text);
+  EXPECT_EQ(serial_text.str(), parallel_text.str());
 }
 
 TEST(RandomForest, PredictStatsBatchMatchesScalar) {
@@ -324,6 +365,133 @@ TEST_P(ForestConfigSweep, FitsAndBeatsMeanPredictor) {
     mean_sq += eb * eb;
   }
   EXPECT_LT(model_sq, mean_sq);
+}
+
+// ---- golden fit fixture ----------------------------------------------------
+//
+// tests/data/golden_fit_v1.txt pins the fitter itself: one line per case
+//   <dataset> <rows> <min_samples_leaf> <FNV-1a of RandomForest::save text>
+//   <OOB RMSE at %.17g>
+// so any change to split search, tie order or node sums shows up as a
+// changed forest. Datasets are every workload space at sizes around small
+// and mid trees, plus synthetic continuous (high-cardinality), categorical,
+// signed-zero and duplicate-row data.
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+Dataset golden_fit_dataset(const std::string& name, std::size_t rows,
+                           util::Rng& rng) {
+  if (name == "synthetic/continuous") {
+    Dataset d(4);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::vector<double> x = {rng.uniform(0.0, 10.0),
+                                     rng.uniform(0.0, 10.0),
+                                     rng.uniform(-5.0, 5.0),
+                                     rng.uniform(0.0, 1.0)};
+      d.add(x, x[0] * x[1] - 3.0 * x[2] + rng.normal(0.0, 0.5));
+    }
+    return d;
+  }
+  if (name == "synthetic/categorical") {
+    Dataset d(3, {true, true, false}, {5, 12, 0});
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::vector<double> x = {static_cast<double>(rng.index(5)),
+                                     static_cast<double>(rng.index(12)),
+                                     static_cast<double>(rng.index(3))};
+      d.add(x, (static_cast<int>(x[0]) % 2 == 0 ? 1.0 : 4.0) +
+                   0.3 * x[1] + x[2] + rng.uniform(0.0, 0.1));
+    }
+    return d;
+  }
+  if (name == "synthetic/signed_zero") {
+    const double levels[] = {-0.0, 0.0, -1.0, 1.0, 2.0};
+    Dataset d(2);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::vector<double> x = {levels[rng.index(5)],
+                                     levels[rng.index(5)]};
+      d.add(x, x[0] - 2.0 * x[1] + rng.uniform(0.0, 1.0));
+    }
+    return d;
+  }
+  if (name == "synthetic/duplicate") {
+    Dataset d(3);
+    const std::vector<std::vector<double>> distinct = {
+        {1.0, 2.0, 3.0}, {1.0, 2.0, 4.0}, {0.5, 2.0, 3.0},
+        {1.0, 7.0, 3.0}, {9.0, 2.0, 0.0}};
+    for (std::size_t i = 0; i < rows; ++i) {
+      const auto& x = distinct[rng.index(distinct.size())];
+      d.add(x, x[0] + x[1] * x[2] + rng.normal(0.0, 1.0));
+    }
+    return d;
+  }
+  return workload_data(name, rows, rng);
+}
+
+struct GoldenFitCase {
+  std::string dataset;
+  std::size_t rows = 0;
+  std::size_t min_samples_leaf = 1;
+};
+
+std::vector<GoldenFitCase> golden_fit_cases() {
+  std::vector<GoldenFitCase> cases;
+  for (const std::size_t leaf : {std::size_t{1}, std::size_t{3}}) {
+    for (const auto& name : workloads::full_suite_names()) {
+      for (const std::size_t rows : {3, 40, 63, 64, 65, 150, 300}) {
+        cases.push_back({name, rows, leaf});
+      }
+    }
+    for (const char* name :
+         {"synthetic/continuous", "synthetic/categorical",
+          "synthetic/signed_zero", "synthetic/duplicate"}) {
+      for (const std::size_t rows : {10, 65, 1000}) {
+        cases.push_back({name, rows, leaf});
+      }
+    }
+  }
+  return cases;
+}
+
+std::string golden_fit_line(const GoldenFitCase& c) {
+  util::Rng data_rng(fnv1a(c.dataset) ^ c.rows);
+  const Dataset data = golden_fit_dataset(c.dataset, c.rows, data_rng);
+  ForestConfig cfg;
+  cfg.num_trees = 8;
+  cfg.tree.min_samples_leaf = c.min_samples_leaf;
+  cfg.compute_oob = true;
+  RandomForest forest;
+  util::Rng fit_rng(1000 + c.rows * 7 + c.min_samples_leaf);
+  forest.fit(data, cfg, fit_rng);
+  std::ostringstream text;
+  forest.save(text);
+  char line[512];
+  std::snprintf(line, sizeof(line), "%s %zu %zu %016" PRIx64 " %.17g",
+                c.dataset.c_str(), c.rows, c.min_samples_leaf,
+                fnv1a(text.str()), forest.oob_rmse());
+  return line;
+}
+
+TEST(RandomForest, FitsMatchGoldenFixture) {
+  const std::string path =
+      std::string(PWU_TEST_DATA_DIR) + "/golden_fit_v1.txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing fixture " << path;
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') expected.push_back(line);
+  }
+  const auto cases = golden_fit_cases();
+  ASSERT_EQ(expected.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(golden_fit_line(cases[i]), expected[i]);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

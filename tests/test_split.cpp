@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace pwu::rf {
 namespace {
@@ -149,6 +152,191 @@ TEST(Split, GainMatchesVarianceReduction) {
   ASSERT_TRUE(s.valid());
   // Children: 4^2/2 + 16^2/2 = 8 + 128 = 136; gain = 36.
   EXPECT_NEAR(s.gain, 36.0, 1e-9);
+}
+
+// ---- coded node search vs the best_split_on_feature oracle ----------------
+//
+// Node ranges hold sorted instance multisets, so the oracle's position tie
+// order over the node's rows is the coded search's (row id, instance id)
+// order. Both searches get the node sum taken in scan order, the oracle's
+// own total, so whole Splits compare with EXPECT_EQ.
+
+/// Feature 0 takes `distinct` values (row r gets level r % distinct, so
+/// every value is present once rows >= distinct); feature 1 is constant.
+Dataset coded_data(std::size_t rows, std::size_t distinct, bool categorical,
+                   util::Rng& rng) {
+  Dataset d(2, {categorical, false},
+            {categorical ? distinct : std::size_t{0}, 0});
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto level = static_cast<double>(r % distinct);
+    d.add(std::vector<double>{categorical ? level : 0.25 * level - 3.0, 7.0},
+          rng.uniform(0.0, 20.0));
+  }
+  return d;
+}
+
+std::vector<std::size_t> sorted_multiset(std::size_t k, std::size_t rows,
+                                         util::Rng& rng) {
+  std::vector<std::size_t> idx(k);
+  for (auto& i : idx) i = rng.index(rows);
+  std::sort(idx.begin(), idx.end());
+  return idx;
+}
+
+/// Searches the node range [lo, hi) with both the coded search and the
+/// oracle over the node's rows; returns the coded split.
+Split expect_node_matches_oracle(const Dataset& d, const SortedColumns& codes,
+                                 SplitWorkspace& ws, std::size_t lo,
+                                 std::size_t hi, std::size_t feature,
+                                 std::size_t min_leaf) {
+  std::vector<std::size_t> rows;
+  for (std::size_t i = lo; i < hi; ++i) {
+    rows.push_back(ws.inst_row[ws.row_insts[i]]);
+  }
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  std::vector<std::size_t> scan(rows.size());
+  std::iota(scan.begin(), scan.end(), std::size_t{0});
+  std::stable_sort(scan.begin(), scan.end(), [&](std::size_t a, std::size_t b) {
+    return d.x(rows[a], feature) < d.x(rows[b], feature);
+  });
+  double sum = 0.0;
+  for (std::size_t p : scan) sum += d.y(rows[p]);
+  const double parent = sum * sum / static_cast<double>(rows.size());
+  const Split coded = best_split_coded(d, codes, ws, lo, hi, feature, sum,
+                                       parent, min_leaf);
+  SplitWorkspace oracle_ws;
+  EXPECT_EQ(coded, best_split_on_feature(d, rows, feature, parent, min_leaf,
+                                         oracle_ws));
+  return coded;
+}
+
+/// Checks the root search of `k` sampled instances on feature 0;
+/// `expect_counting` pins which side of the crossover runs.
+void expect_root_matches_oracle(std::size_t rows, std::size_t distinct,
+                                bool categorical, std::size_t k,
+                                std::size_t min_leaf, bool expect_counting) {
+  SCOPED_TRACE(testing::Message() << "rows " << rows << " distinct "
+                                  << distinct << " k " << k << " leaf "
+                                  << min_leaf);
+  util::Rng rng(rows * 131 + distinct * 7 + k);
+  const Dataset d = coded_data(rows, distinct, categorical, rng);
+  const auto indices = sorted_multiset(k, rows, rng);
+  SortedColumns codes;
+  codes.build(d);
+  ASSERT_EQ(codes.num_codes[0], std::min(rows, distinct));
+  ASSERT_EQ(codes.num_codes[0] <= SplitWorkspace::kCountingFactor * k,
+            expect_counting);
+  SplitWorkspace ws;
+  ws.init(d, indices);
+  const Split s = expect_node_matches_oracle(d, codes, ws, 0, k, 0, min_leaf);
+  EXPECT_EQ(s.categorical, categorical && s.valid());
+}
+
+TEST(SplitCoded, FewCodesCountingSortMatchesOracle) {
+  for (std::size_t leaf : {1, 3}) {
+    expect_root_matches_oracle(300, 3, false, 200, leaf, true);
+    expect_root_matches_oracle(300, 7, false, 40, leaf, true);
+  }
+}
+
+TEST(SplitCoded, CrossoverBoundaryMatchesOracle) {
+  // L = 16k is the last counting-sort case, L = 16k + 1 the first sort.
+  for (std::size_t leaf : {1, 3}) {
+    for (std::size_t k : {4, 9}) {
+      const std::size_t at = SplitWorkspace::kCountingFactor * k;
+      expect_root_matches_oracle(at, at, false, k, leaf, true);
+      expect_root_matches_oracle(at + 1, at + 1, false, k, leaf, false);
+    }
+  }
+}
+
+TEST(SplitCoded, TiesAcrossRowsKeepRowOrderOnBothPaths) {
+  // Rows r, r + 200, ..., r + 1000 share a value. In each tie group the
+  // first row's label is an integer and the others are 2^-53: added in
+  // row order the small ones round away, added first they do not, so only
+  // the (row id, instance id) tie order reproduces the oracle's sums.
+  Dataset d(1);
+  for (std::size_t r = 0; r < 1200; ++r) {
+    d.add(std::vector<double>{static_cast<double>(r % 200)},
+          r < 200 ? static_cast<double>(1 + 2 * r) : 0x1p-53);
+  }
+  SortedColumns codes;
+  codes.build(d);
+  ASSERT_EQ(codes.num_codes[0], 200u);
+  std::vector<std::size_t> indices;
+  for (std::size_t r = 0; r < 1200; r += 200) {
+    indices.push_back(r);
+    indices.push_back(r + 1);
+  }
+  for (const std::size_t k : {12, 13}) {
+    // k = 12: 200 > 16 * 12 takes std::sort; k = 13 the counting sort.
+    ASSERT_EQ(200 <= SplitWorkspace::kCountingFactor * k, k == 13);
+    if (k == 13) indices.push_back(0);  // a bootstrap repeat of row 0
+    std::sort(indices.begin(), indices.end());
+    SplitWorkspace ws;
+    ws.init(d, indices);
+    const Split s = expect_node_matches_oracle(d, codes, ws, 0, k, 0, 1);
+    EXPECT_TRUE(s.valid());
+  }
+}
+
+TEST(SplitCoded, CategoricalOnBothPathsMatchesOracle) {
+  for (std::size_t leaf : {1, 2}) {
+    expect_root_matches_oracle(200, 6, true, 50, leaf, true);
+    // 64 levels over 3 instances: 64 > 16 * 3 takes the sort path.
+    expect_root_matches_oracle(64, 64, true, 3, leaf, false);
+    expect_root_matches_oracle(64, 64, true, 12, leaf, true);
+  }
+}
+
+TEST(SplitCoded, ConstantFeatureYieldsNoSplit) {
+  util::Rng rng(3);
+  const Dataset d = coded_data(50, 5, false, rng);
+  const auto indices = sorted_multiset(30, 50, rng);
+  SortedColumns codes;
+  codes.build(d);
+  ASSERT_EQ(codes.num_codes[1], 1u);
+  SplitWorkspace ws;
+  ws.init(d, indices);
+  EXPECT_FALSE(expect_node_matches_oracle(d, codes, ws, 0, 30, 1, 1).valid());
+}
+
+/// Checks every node of a tree grown by partition_node down to leaves.
+void expect_subtree_matches_oracle(const Dataset& d,
+                                   const SortedColumns& codes,
+                                   SplitWorkspace& ws, std::size_t lo,
+                                   std::size_t hi) {
+  if (hi - lo < 2) return;
+  Split best;
+  for (std::size_t f = 0; f < d.num_features(); ++f) {
+    const Split s = expect_node_matches_oracle(d, codes, ws, lo, hi, f, 2);
+    if (s.valid() && s.gain > best.gain) best = s;
+  }
+  if (!best.valid()) return;
+  const std::size_t mid = partition_node(d, ws, lo, hi, best);
+  if (mid == lo || mid == hi) return;
+  expect_subtree_matches_oracle(d, codes, ws, lo, mid);
+  expect_subtree_matches_oracle(d, codes, ws, mid, hi);
+}
+
+TEST(SplitCoded, EveryNodeAfterPartitionMatchesOracle) {
+  // Child ranges must keep searching like the oracle over the child's own
+  // rows: the 400-value feature crosses from counting sort (large nodes)
+  // to std::sort (nodes under 25 instances) on the way down.
+  util::Rng rng(11);
+  const std::size_t rows = 400;
+  Dataset d(2);
+  for (std::size_t r = 0; r < rows; ++r) {
+    d.add(std::vector<double>{static_cast<double>(rng.index(5)),
+                              rng.uniform(0.0, 1.0)},
+          rng.uniform(0.0, 20.0));
+  }
+  const auto indices = sorted_multiset(rows, rows, rng);
+  SortedColumns codes;
+  codes.build(d);
+  SplitWorkspace ws;
+  ws.init(d, indices);
+  expect_subtree_matches_oracle(d, codes, ws, 0, rows);
 }
 
 TEST(Split, InvalidSplitRoutingDefaults) {

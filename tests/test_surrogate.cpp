@@ -73,6 +73,10 @@ TEST(Surrogate, BatchDefaultMatchesScalar) {
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_DOUBLE_EQ(batch[0].mean, gp.predict_stats(rows.row(0)).mean);
   EXPECT_DOUBLE_EQ(batch[1].mean, gp.predict_stats(rows.row(1)).mean);
+  const auto means = gp.predict_mean_batch(rows);
+  ASSERT_EQ(means.size(), 2u);
+  EXPECT_EQ(means[0], batch[0].mean);
+  EXPECT_EQ(means[1], batch[1].mean);
 }
 
 TEST(Surrogate, AsForestExposesOnlyForests) {
